@@ -246,7 +246,7 @@ def gi_attribute(model, record: MultimodalRecord, target_class: int = 1,
     ctx = Context(tape=Tape(), params=model.params, mode=mode)
     logits = model.forward(ctx, *_batched(record))
     target = ad.slice_(logits, (0, target_class))
-    ad.backward(target)
+    ad.backward(target, wrt=ctx.probes.values())
     r_events = (ctx.probes["events"].data * _probe_grad(ctx, "events"))[0]
     r_notes = (ctx.probes["notes"].data * _probe_grad(ctx, "notes"))[0].sum(axis=-1)
     r_vitals = (ctx.probes["vitals"].data * _probe_grad(ctx, "vitals"))[0]
@@ -270,6 +270,17 @@ def midpoint_alphas(steps: int) -> np.ndarray:
     return (np.arange(1, steps + 1) - 0.5) / steps
 
 
+#: cap on the sequence positions x model width of one stacked IG pass;
+#: the alpha grid is cut into chunks of as many rows as fit under it.
+#: This is a proxy for the tape's memory, tuned only at desk geometry
+#: (all 20 alphas in one pass) and paper geometry (4 per pass). It does
+#: not count the replayed attention maps, which are broadcast to every
+#: row at heads x L^2 cells per encoder, so a model with longer
+#: sequences or more heads may need far more memory per pass than the
+#: cap suggests.
+_IG_CELL_CAP = 1 << 18
+
+
 def integrated_gradients(model, record: MultimodalRecord, target_class: int = 1,
                          steps: int = 20) -> AttributionReport:
     """Path-integrated gradients from an all-zero baseline.
@@ -288,6 +299,16 @@ def integrated_gradients(model, record: MultimodalRecord, target_class: int = 1,
     well posed, and on intercept-free models it is exact at any step
     count because the pre-activation signs cannot change along a ray
     through the origin.
+
+    The interior points are stacked along the batch axis: one replayed
+    pass takes the record repeated once per alpha, each row probed at
+    its own input scale, and the frozen batch-1 maps broadcast over the
+    rows. Records do not interact in the network, so row ``i`` gets the
+    gradient a pass at ``alpha_i`` alone would get, up to the last ulps
+    BLAS rounds differently at another row count. The grid is cut into
+    chunks of at most ``_IG_CELL_CAP`` sequence positions x width cells
+    per pass, which bounds the tape's memory at paper geometry; the
+    per-row gradients are summed in alpha order.
     """
     target_class = _check_target_class(target_class)
     arrays = _batched(record)
@@ -298,16 +319,21 @@ def integrated_gradients(model, record: MultimodalRecord, target_class: int = 1,
                   frozen=frozen)
     logits = model.forward(end, *arrays)
     target_value = float(logits.data[0, target_class])
+    alphas = midpoint_alphas(steps)
+    cells = model.config.width * sum(a.shape[1] for a in arrays)
+    chunk = max(1, _IG_CELL_CAP // cells)
     acc: dict[str, np.ndarray] = {}
-    for alpha in midpoint_alphas(steps):
+    for start in range(0, alphas.size, chunk):
+        rows = alphas[start:start + chunk]
         ctx = Context(tape=Tape(), params=model.params, mode="attribution",
-                      frozen=frozen.start_replay(), input_scale=float(alpha))
-        logits = model.forward(ctx, *arrays)
-        ad.backward(ad.slice_(logits, (0, target_class)))
+                      frozen=frozen.start_replay(), input_scale=rows)
+        logits = model.forward(ctx, *(np.repeat(a, rows.size, axis=0) for a in arrays))
+        ad.backward(ad.slice_(logits, (slice(None), target_class)),
+                    seed=np.ones(rows.size), wrt=ctx.probes.values())
         for m in MODALITIES:
-            g = _probe_grad(ctx, m)
-            acc[m] = acc[m] + g if m in acc else g
-    r = {m: end.probes[m].data[0] * (acc[m][0] / steps) for m in MODALITIES}
+            for g in _probe_grad(ctx, m):
+                acc[m] = acc[m] + g if m in acc else g
+    r = {m: end.probes[m].data[0] * (acc[m] / steps) for m in MODALITIES}
     return _build_report(record, "integrated-gradients", target_class, target_value,
                          r["events"], r["notes"].sum(axis=-1), r["vitals"])
 

@@ -491,35 +491,50 @@ def _expand_reduced(g: np.ndarray, node: Node) -> np.ndarray:
     return np.broadcast_to(g, shape)
 
 
-def _vjp_add(tape, nid, node, g):
+def _vjp_add(tape, nid, node, g, live):
     return ((node.inputs[0], g), (node.inputs[1], g))
 
 
-def _vjp_sub(tape, nid, node, g):
+def _vjp_sub(tape, nid, node, g, live):
     return ((node.inputs[0], g), (node.inputs[1], -g))
 
 
-def _vjp_mul(tape, nid, node, g):
+def _on_path(live, nid: int) -> bool:
+    return live is None or live[nid]
+
+
+def _vjp_mul(tape, nid, node, g, live):
     a, b = node.inputs
-    return ((a, g * tape.values[b]), (b, g * tape.values[a]))
+    out = []
+    if _on_path(live, a):
+        out.append((a, g * tape.values[b]))
+    if _on_path(live, b):
+        out.append((b, g * tape.values[a]))
+    return out
 
 
-def _vjp_div(tape, nid, node, g):
+def _vjp_div(tape, nid, node, g, live):
     a, b = node.inputs
     vb = tape.values[b]
     ga = g / vb
-    return ((a, ga), (b, -ga * tape.values[a] / vb))
+    out = [(a, ga)] if _on_path(live, a) else []
+    if _on_path(live, b):
+        out.append((b, -ga * tape.values[a] / vb))
+    return out
 
 
-def _vjp_matmul(tape, nid, node, g):
+def _vjp_matmul(tape, nid, node, g, live):
     a, b = node.inputs
     va, vb = tape.values[a], tape.values[b]
-    ga = _reduce_to(g @ np.swapaxes(vb, -1, -2), va.shape)
-    gb = _reduce_to(np.swapaxes(va, -1, -2) @ g, vb.shape)
-    return ((a, ga), (b, gb))
+    out = []
+    if _on_path(live, a):
+        out.append((a, _reduce_to(g @ np.swapaxes(vb, -1, -2), va.shape)))
+    if _on_path(live, b):
+        out.append((b, _reduce_to(np.swapaxes(va, -1, -2) @ g, vb.shape)))
+    return out
 
 
-def _vjp_transpose(tape, nid, node, g):
+def _vjp_transpose(tape, nid, node, g, live):
     axes = node.ctx["axes"]
     if axes is None:
         return ((node.inputs[0], np.transpose(g)),)
@@ -527,11 +542,11 @@ def _vjp_transpose(tape, nid, node, g):
     return ((node.inputs[0], np.transpose(g, inverse)),)
 
 
-def _vjp_reshape(tape, nid, node, g):
+def _vjp_reshape(tape, nid, node, g, live):
     return ((node.inputs[0], np.reshape(g, node.ctx["shape"])),)
 
 
-def _vjp_concat(tape, nid, node, g):
+def _vjp_concat(tape, nid, node, g, live):
     axis, sizes = node.ctx["axis"], node.ctx["sizes"]
     out, offset = [], 0
     key = [slice(None)] * g.ndim
@@ -542,17 +557,17 @@ def _vjp_concat(tape, nid, node, g):
     return out
 
 
-def _vjp_slice(tape, nid, node, g):
+def _vjp_slice(tape, nid, node, g, live):
     full = np.zeros(node.ctx["shape"], dtype=np.float64)
     full[node.ctx["key"]] = g
     return ((node.inputs[0], full),)
 
 
-def _vjp_sum(tape, nid, node, g):
+def _vjp_sum(tape, nid, node, g, live):
     return ((node.inputs[0], np.ascontiguousarray(_expand_reduced(g, node))),)
 
 
-def _vjp_mean(tape, nid, node, g):
+def _vjp_mean(tape, nid, node, g, live):
     shape = node.ctx["shape"]
     axis = node.ctx["axis"]
     if axis is None:
@@ -563,7 +578,7 @@ def _vjp_mean(tape, nid, node, g):
     return ((node.inputs[0], _expand_reduced(g, node) / count),)
 
 
-def _vjp_max(tape, nid, node, g):
+def _vjp_max(tape, nid, node, g, live):
     x = tape.values[node.inputs[0]]
     axis = node.ctx["axis"]
     vmax = np.max(x, axis=axis, keepdims=True)
@@ -572,39 +587,39 @@ def _vjp_max(tape, nid, node, g):
     return ((node.inputs[0], _expand_reduced(g, node) * mask),)
 
 
-def _vjp_exp(tape, nid, node, g):
+def _vjp_exp(tape, nid, node, g, live):
     return ((node.inputs[0], g * tape.values[nid]),)
 
 
-def _vjp_log(tape, nid, node, g):
+def _vjp_log(tape, nid, node, g, live):
     return ((node.inputs[0], g / tape.values[node.inputs[0]]),)
 
 
-def _vjp_sqrt(tape, nid, node, g):
+def _vjp_sqrt(tape, nid, node, g, live):
     return ((node.inputs[0], g / (2.0 * tape.values[nid])),)
 
 
-def _vjp_relu(tape, nid, node, g):
+def _vjp_relu(tape, nid, node, g, live):
     x = tape.values[node.inputs[0]]
     return ((node.inputs[0], g * (x > 0.0)),)
 
 
-def _vjp_softmax(tape, nid, node, g):
+def _vjp_softmax(tape, nid, node, g, live):
     p = tape.values[nid]
     axis = node.ctx["axis"]
     inner = np.sum(g * p, axis=axis, keepdims=True)
     return ((node.inputs[0], p * (g - inner)),)
 
 
-def _vjp_scale(tape, nid, node, g):
+def _vjp_scale(tape, nid, node, g, live):
     return ((node.inputs[0], g * node.ctx["factor"]),)
 
 
-def _vjp_broadcast(tape, nid, node, g):
+def _vjp_broadcast(tape, nid, node, g, live):
     return ((node.inputs[0], _reduce_to(g, node.ctx["shape"])),)
 
 
-def _vjp_gather(tape, nid, node, g):
+def _vjp_gather(tape, nid, node, g, live):
     table_shape = tape.values[node.inputs[0]].shape
     out = np.zeros(table_shape, dtype=np.float64)
     np.add.at(out, node.ctx["indices"], g)
@@ -634,12 +649,49 @@ _VJPS: dict[str, Callable] = {
 }
 
 
-def backward(output: Tensor, seed=None) -> None:
-    """Accumulate gradients of ``output`` into every node's buffer.
+def _path_mask(output: Tensor, wrt) -> list[bool]:
+    """Mark every node on a path from a ``wrt`` tensor up to ``output``.
+
+    One forward sweep over the node list: a node is on a path when one
+    of its inputs is. A ``detach`` node never is, since no gradient
+    crosses it. Nodes after ``output`` are not marked.
+    """
+    tape = output.tape
+    live = [False] * (output.node_id + 1)
+    first = output.node_id + 1
+    for t in wrt:
+        if not isinstance(t, Tensor) or t.tape is not tape:
+            raise TapeError("every wrt tensor must live on the output's tape")
+        if t.node_id <= output.node_id:
+            live[t.node_id] = True
+            first = min(first, t.node_id)
+    nodes = tape.nodes
+    for nid in range(first + 1, output.node_id + 1):
+        node = nodes[nid]
+        if live[nid] or node.kind == "detach":
+            continue
+        for pid in node.inputs:
+            if live[pid]:
+                live[nid] = True
+                break
+    return live
+
+
+def backward(output: Tensor, seed=None, wrt=None) -> None:
+    """Accumulate gradients of ``output`` into the nodes' buffers.
 
     ``output`` must be a scalar unless an explicit ``seed`` array of the
     output's shape is given. Calling backward twice on the same tape
     without :meth:`Tape.reset_grads` is an error.
+
+    Without ``wrt`` every node that ``output`` depends on receives its
+    gradient. With ``wrt`` (an iterable of tensors on the same tape)
+    only nodes on a path from some ``wrt`` tensor to ``output`` are
+    visited, and ``matmul``, ``mul`` and ``div`` skip the operand
+    gradients off that path; every other node keeps ``grad is None``.
+    Every contribution to an on-path node comes from an on-path node, so
+    the gradients at the ``wrt`` tensors are bit-identical to those of
+    a full backward.
     """
     tape = output.tape
     if tape._backward_done:
@@ -653,6 +705,7 @@ def backward(output: Tensor, seed=None) -> None:
         if seed_arr.shape != output.data.shape:
             raise TapeError(
                 f"seed shape {seed_arr.shape} does not match output {output.data.shape}")
+    live = None if wrt is None else _path_mask(output, wrt)
     grads = tape.grads
     grads[output.node_id] = seed_arr
     nodes = tape.nodes
@@ -664,7 +717,9 @@ def backward(output: Tensor, seed=None) -> None:
         vjp = _VJPS.get(node.kind)
         if vjp is None:  # leaf or detach: nothing flows upstream
             continue
-        for pid, contrib in vjp(tape, nid, node, g):
+        for pid, contrib in vjp(tape, nid, node, g, live):
+            if live is not None and not live[pid]:
+                continue
             if grads[pid] is None:
                 grads[pid] = contrib if contrib.shape == tape.values[pid].shape \
                     else np.broadcast_to(contrib, tape.values[pid].shape).copy()

@@ -110,7 +110,10 @@ class Context:
     rng: np.random.Generator | None = None  # dropout source; None disables dropout
     capture: dict[str, list[np.ndarray]] | None = None  # encoder -> attention maps
     frozen: FrozenState | None = None
-    input_scale: float | None = None  # scales modality inputs (integrated gradients)
+    #: scales the modality inputs (integrated gradients): a float scales
+    #: the whole batch, a 1-D array of one factor per batch row scales
+    #: each row by its own factor
+    input_scale: float | np.ndarray | None = None
     probes: dict[str, Tensor] = field(default_factory=dict)
     _leaves: dict[str, Tensor] = field(default_factory=dict)
 
@@ -130,6 +133,10 @@ class Context:
             self._leaves[name] = t
         return t
 
+    def param_leaves(self) -> list[Tensor]:
+        """The tape leaves of every parameter touched by this pass."""
+        return list(self._leaves.values())
+
     def param_grads(self) -> dict[str, np.ndarray]:
         """Gradients of every parameter touched by this pass (after backward)."""
         out = {}
@@ -139,9 +146,19 @@ class Context:
         return out
 
     def probe(self, name: str, t: Tensor) -> Tensor:
-        """Mark a modality input point, applying the input scale if set."""
-        if self.input_scale is not None and self.input_scale != 1.0:
-            t = ad.scale(t, self.input_scale)
+        """Mark a modality input point, applying the input scale if set.
+
+        A per-row scale gives row ``i`` the same values that the float
+        ``input_scale[i]`` gives that row alone.
+        """
+        if self.input_scale is not None:
+            factor = np.asarray(self.input_scale, dtype=np.float64)
+            if factor.ndim and factor.shape != t.data.shape[:1]:
+                raise ValueError(f"input_scale of shape {factor.shape} does not give "
+                                 f"one factor per row of {t.data.shape}")
+            rows = np.broadcast_to(factor, t.data.shape[:1])
+            rows = rows.reshape(rows.shape + (1,) * (t.ndim - 1))
+            t = ad.mul(t, self.tape.leaf(rows, param=True))
         self.probes[name] = t
         return t
 

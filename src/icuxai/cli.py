@@ -12,7 +12,8 @@ the INI section is named after the subcommand::
     learning_rate = 0.003
 
 Exit codes: 0 success, 1 usage error (bad flags, bad option values),
-2 data error (missing or malformed inputs, rejected records).
+2 data error (missing or malformed inputs, rejected records), 3 numerical
+error (a NaN or Inf in the forward pass or in an attribution gradient).
 
 Randomness policy: one ``--seed`` per invocation; components derive
 their own streams from it by hashing a fixed label, so e.g. the train
@@ -35,6 +36,7 @@ import numpy as np
 from . import __version__
 from .attribution import (CSV_HEADER, EXPLAINER_KINDS,
                           aggregate_feature_attributions, make_explainer)
+from .autodiff import NonFiniteError
 from .errors import DataError
 from .metrics import auc_pr, auc_roc
 from .model import ModelConfig, TriModalNet, load_checkpoint, save_checkpoint
@@ -797,6 +799,9 @@ def run(argv=None) -> int:
     except (UsageError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
+    except NonFiniteError as e:
+        print(f"numerical error: {e}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

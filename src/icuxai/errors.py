@@ -2,8 +2,9 @@
 
 ``DataError`` subclasses describe problems with user-supplied inputs
 (malformed files, schema violations, rejected records) and map to exit
-code 2 in the command-line runner. Everything else is a programming
-error and is allowed to surface as a traceback.
+code 2 in the command-line runner; a NaN or Inf raised as
+``autodiff.NonFiniteError`` maps to exit code 3. Everything else is a
+programming error and is allowed to surface as a traceback.
 """
 
 

@@ -297,7 +297,7 @@ def train_model(model, dataset: MultimodalDataset, config: TrainConfig,
             logits = model.forward(ctx, dataset.events[batch], dataset.notes[batch],
                                    dataset.vitals[batch], active)
             loss = weighted_ce_from_logits(logits, labels[batch], config.class_weight)
-            ad.backward(loss)
+            ad.backward(loss, wrt=ctx.param_leaves())
             grads, _ = clip_global_norm(ctx.param_grads(), config.clip_norm)
             optimizer.step(model.params, grads, lr)
             losses.append(float(loss.data))

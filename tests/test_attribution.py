@@ -287,6 +287,65 @@ def test_ig_report_is_finite_and_deterministic(model):
         integrated_gradients(model, rec, steps=0)
 
 
+def _ig_one_alpha_per_tape(model, rec, steps, target_class=1):
+    """Reference IG: the endpoint pass, then one batch-1 replay per alpha."""
+    arrays = (rec.events.values[None], rec.notes.ids[None], rec.vitals.values[None])
+    frozen = FrozenState()
+    end = Context(tape=Tape(), params=model.params, mode="attribution",
+                  frozen=frozen)
+    model.forward(end, *arrays)
+    acc = {}
+    for alpha in midpoint_alphas(steps):
+        ctx = Context(tape=Tape(), params=model.params, mode="attribution",
+                      frozen=frozen.start_replay(), input_scale=float(alpha))
+        logits = model.forward(ctx, *arrays)
+        ad.backward(ad.slice_(logits, (0, target_class)))
+        for m in ("events", "notes", "vitals"):
+            g = ctx.probes[m].grad
+            acc[m] = acc[m] + g if m in acc else g
+    r = {m: end.probes[m].data[0] * (acc[m][0] / steps) for m in acc}
+    return r["events"], r["notes"].sum(axis=-1), r["vitals"]
+
+
+def _assert_close_relative(got, want, rtol=1e-12):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= rtol * scale
+
+
+@pytest.mark.parametrize("bias_free", [False, True])
+def test_batched_ig_matches_one_alpha_per_tape(model, free_model, bias_free):
+    net = free_model if bias_free else model
+    for seed in (21, 22):
+        rec = make_record(seed)
+        rep = integrated_gradients(net, rec, steps=20)
+        for got, want in zip((rep.events, rep.notes, rep.vitals),
+                             _ig_one_alpha_per_tape(net, rec, 20)):
+            _assert_close_relative(got, want)
+
+
+def test_batched_ig_uneven_chunks_match_one_alpha_per_tape(model, monkeypatch):
+    import icuxai.attribution as attribution_module
+
+    rec = make_record(23)
+    cells = SMALL["width"] * (SMALL["event_hours"] + SMALL["note_len"]
+                              + SMALL["vitals_steps"])
+    monkeypatch.setattr(attribution_module, "_IG_CELL_CAP", 3 * cells)
+    rows_per_pass = []
+    real_forward = model.forward
+
+    def counting_forward(ctx, events, *rest, **kw):
+        rows_per_pass.append(np.asarray(events).shape[0])
+        return real_forward(ctx, events, *rest, **kw)
+
+    monkeypatch.setattr(model, "forward", counting_forward)
+    rep = integrated_gradients(model, rec, steps=7)
+    monkeypatch.undo()
+    assert rows_per_pass == [1, 3, 3, 1]  # endpoint, then alphas in chunks of 3
+    for got, want in zip((rep.events, rep.notes, rep.vitals),
+                         _ig_one_alpha_per_tape(model, rec, 7)):
+        _assert_close_relative(got, want)
+
+
 # --- attention readouts --------------------------------------------------------------
 
 def test_attention_last_matches_captured_map(model):

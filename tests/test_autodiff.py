@@ -224,6 +224,98 @@ def test_tape_is_append_only_topological():
         assert all(pid < nid for pid in node.inputs)
 
 
+# --- pruned backward (wrt) ---------------------------------------------------
+
+def _small_graph():
+    """x feeds the output through a matmul, a detached softmax and a
+    division; w, the mask and everything computed from them alone do not
+    lie on a path from x."""
+    t = Tape()
+    x = t.leaf(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+    w = t.leaf(np.linspace(0.5, 1.5, 8).reshape(4, 2), param=True)
+    mask = t.leaf(np.array([[0.0, -3.0]]), param=True)
+    scores = ad.add(ad.matmul(x, w), mask)
+    p = ad.detach(ad.softmax_over_axis(scores, axis=-1))
+    denom = ad.sqrt(ad.add(ad.mul(w, w), 1.0))
+    h = ad.div(ad.matmul(x, denom), ad.add(ad.exp(w).sum(), 1.0))
+    y = ad.sum_over_axis(ad.mul(ad.relu(ad.mul(h, p)), h))
+    return t, x, w, y
+
+
+def test_backward_wrt_grads_match_full_backward_bitwise():
+    t, x, w, y = _small_graph()
+    backward(y)
+    full = [None if g is None else g.copy() for g in t.grads]
+    t.reset_grads()
+    backward(y, wrt=[x])
+    assert np.array_equal(x.grad, full[x.node_id])
+    t.reset_grads()
+    backward(y, wrt=[x, w])
+    assert np.array_equal(x.grad, full[x.node_id])
+    assert np.array_equal(w.grad, full[w.node_id])
+
+
+def test_backward_wrt_leaves_off_path_nodes_without_grad():
+    t, x, w, y = _small_graph()
+    backward(y, wrt=[x])
+    on_path = {x.node_id}
+    for nid, node in enumerate(t.nodes):
+        if node.kind != "detach" and any(pid in on_path for pid in node.inputs):
+            on_path.add(nid)
+    assert w.grad is None
+    assert [nid for nid, g in enumerate(t.grads)
+            if g is not None and nid not in on_path] == []
+    detached = [nid for nid, node in enumerate(t.nodes) if node.kind == "detach"]
+    assert detached and all(t.grads[nid] is None for nid in detached)
+
+
+def test_backward_wrt_rejects_tensor_from_another_tape():
+    _, _, _, y = _small_graph()
+    other = Tape().leaf([1.0])
+    with pytest.raises(TapeError):
+        backward(y, wrt=[other])
+
+
+def test_backward_wrt_params_matches_full_backward_on_model_loss():
+    from icuxai.blocks import Context
+    from icuxai.model import ModelConfig, TriModalNet
+    from icuxai.records import CLS_ID, PAD_ID
+    from icuxai.training import weighted_ce_from_logits
+
+    net = TriModalNet(ModelConfig(
+        width=16, heads=2, ffn_width=32, dropout=0.1, event_blocks=1,
+        note_blocks=1, vitals_blocks=1, event_hours=12, event_dim=10,
+        note_len=24, vocab_size=60, vitals_steps=24, vitals_channels=6,
+        fusion_hidden=16, seed=3))
+    rng = np.random.default_rng(5)
+    events = rng.normal(size=(4, 12, 10))
+    notes = np.full((4, 24), PAD_ID, dtype=np.int64)
+    notes[:, 0] = CLS_ID
+    notes[:, 1:15] = rng.integers(3, 60, size=(4, 14))
+    vitals = rng.normal(size=(4, 24, 6))
+    labels = np.array([0, 1, 0, 1])
+
+    def loss_on_tape(wrt_params):
+        ctx = Context(tape=Tape(), params=net.params,
+                      rng=np.random.default_rng(11))  # same dropout masks
+        logits = net.forward(ctx, events, notes, vitals)
+        loss = weighted_ce_from_logits(logits, labels, 1.5)
+        backward(loss, wrt=ctx.param_leaves() if wrt_params else None)
+        return ctx
+
+    full = loss_on_tape(False)
+    pruned = loss_on_tape(True)
+    assert sorted(pruned.param_grads()) == sorted(full.param_grads()) \
+        == sorted(net.params.names())
+    for name, g in full.param_grads().items():
+        assert np.array_equal(pruned.param_grads()[name], g), name
+    # the data leaves, masks and positional tables get no gradient
+    named = {t.node_id for t in pruned.param_leaves()}
+    for nid, node in enumerate(pruned.tape.nodes):
+        if node.kind == "leaf" and nid not in named:
+            assert pruned.tape.grads[nid] is None
+
+
 # --- gradient correctness versus central differences ------------------------
 
 def _fd_scalar_cases():

@@ -427,6 +427,24 @@ def test_probe_applies_input_scale():
     assert ctx.probes["events"] is probed
 
 
+def test_probe_per_row_input_scale_matches_float_scale_per_row():
+    store = ParamStore()
+    x0 = np.random.default_rng(9).normal(size=(3, 4, 5))
+    factors = np.array([0.025, 0.5, 0.975])
+    tape = Tape()
+    ctx = Context(tape=tape, params=store, input_scale=factors)
+    probed = ctx.probe("vitals", tape.leaf(x0))
+    assert ctx.probes["vitals"] is probed
+    for i, factor in enumerate(factors):
+        one = Tape()
+        alone = Context(tape=one, params=store, input_scale=float(factor))
+        np.testing.assert_array_equal(probed.data[i],
+                                      alone.probe("vitals", one.leaf(x0[i:i + 1])).data[0])
+    with pytest.raises(ValueError):
+        Context(tape=tape, params=store, input_scale=factors[:2]).probe(
+            "vitals", tape.leaf(x0))
+
+
 def test_additive_mask_shape_and_values():
     tape = Tape()
     valid = np.array([[True, False], [False, True]])

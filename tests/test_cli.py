@@ -186,6 +186,25 @@ def test_data_errors_exit_2(workdir, tmp_path):
                 "--ids", "no-such-record"]) == 2
 
 
+def test_numerical_errors_exit_3(workdir, tmp_path, monkeypatch, capsys):
+    from icuxai import autodiff
+
+    real_backward = autodiff.backward
+
+    def backward_with_inf_probe_grad(output, seed=None, wrt=None):
+        wrt = list(wrt)
+        real_backward(output, seed, wrt)
+        output.tape.grads[wrt[0].node_id] = np.full_like(wrt[0].data, np.inf)
+
+    monkeypatch.setattr(autodiff, "backward", backward_with_inf_probe_grad)
+    assert run(["explain", "--checkpoint", str(workdir / "model.npz"),
+                "--data", str(workdir / "data.npz"), "--out", str(tmp_path),
+                "--kinds", "lrptrans", "--records", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "numerical error: non-finite gradient at the events input"]
+
+
 def test_help_and_version_exit_0(capsys):
     assert run(["--help"]) == 0
     assert run(["--version"]) == 0
