@@ -9,7 +9,7 @@ to the explained logit -- each input cell receives an additive share of
 the score.  Five reference explainers ship alongside it for comparison:
 seeded random scores, the last encoder block's attention row, attention
 rollout, integrated gradients, and an epsilon-rule relevance propagation
-that walks the recorded tape directly.
+that runs the autodiff reverse sweep with its own rules.
 
 Attributions always target a pre-softmax class logit.  The softmax has
 neither local linearity nor a zero intercept, so an exact decomposition
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NonFiniteError, Tape, Tensor, _reduce_to
+from .autodiff import NonFiniteError, Tape, Tensor
 from .blocks import MODES, Context, FrozenState
 from .records import CLS_ID, MODALITIES, PAD_ID, MultimodalRecord
 
@@ -431,148 +431,79 @@ def random_attribution(model, record: MultimodalRecord, target_class: int = 1,
 
 # --- epsilon-rule relevance propagation ----------------------------------------------
 #
-# The walker reruns the epsilon-LRP redistribution directly on the
-# recorded tape of an attribution-mode forward pass.  In that mode the
-# attention probabilities and the LayerNorm denominator appear as
-# constants, so every surviving operation is (piecewise) linear in the
-# relevance-carrying operands and has a well-defined share rule.  Nodes
-# computed purely from parameters carry no relevance; shares that would
-# fall on them (biases, positional tables) are absorbed, as usual for
-# the epsilon rule.
+# Relevance runs down an attribution-mode tape in the reverse sweep of
+# ``autodiff.backward``, with the VJP table as its rule table.  With the
+# attention maps and LayerNorm denominators detached, every operation left
+# is (piecewise) linear in the relevance-carrying operands.  Structural
+# kinds and relu move relevance as they move gradients (Ancona et al. 2018)
+# and keep their VJPs; add, sub, matmul, sum and mean apply their VJP to
+# r / stabilized(z) and weight each share by its input's value; a fixed
+# factor in mul, div or scale passes the whole share to the carrying
+# operand.  Relevance flows only along paths from the ``read_at`` tensors;
+# shares that fall elsewhere (biases, positional tables, other data
+# leaves) are absorbed, as usual for the epsilon rule.
+
+#: kinds whose VJP is already their relevance rule
+_GRADIENT_RULE_KINDS = ("transpose", "reshape", "concat", "slice", "broadcast",
+                        "relu", "gather-rows")
+_Z_RULE_KINDS = ("add", "sub", "matmul", "sum-over-axis", "mean-over-axis")
+
 
 def _stabilized(z: np.ndarray, eps: float) -> np.ndarray:
     return z + np.where(z >= 0.0, eps, -eps)
 
 
-def _node_constness(tape: Tape) -> list[bool]:
-    const = [False] * len(tape)
-    for i, node in enumerate(tape.nodes):
-        if node.kind == "leaf":
-            const[i] = bool(node.ctx["param"])
-        elif node.kind == "detach":
-            const[i] = True
-        elif node.kind == "gather-rows":
-            # the lookup table is a parameter, but which rows were taken
-            # is input data: the result carries relevance
-            const[i] = False
-        else:
-            const[i] = all(const[j] for j in node.inputs) if node.inputs else True
-    return const
+def _z_rule(vjp, eps: float):
+    def rule(tape, nid, node, r, live):
+        s = r / _stabilized(tape.values[nid], eps)
+        return [(pid, tape.values[pid] * c)
+                for pid, c in vjp(tape, nid, node, s, live) if live[pid]]
+    return rule
 
 
-def _lrp_spread(tape: Tape, nid: int, r: np.ndarray, const: list[bool],
-                eps: float) -> list[tuple[int, np.ndarray]]:
-    """Split the relevance of node ``nid`` among its non-constant inputs."""
-    node = tape.nodes[nid]
-    kind = node.kind
-    z = tape.values[nid]
-    if kind in ("add", "sub"):
-        a, b = node.inputs
-        s = r / _stabilized(z, eps)
-        out = []
-        if not const[a]:
-            out.append((a, tape.values[a] * s))
-        if not const[b]:
-            sign = -1.0 if kind == "sub" else 1.0
-            out.append((b, sign * tape.values[b] * s))
-        return out
-    if kind == "mul":
-        a, b = node.inputs
-        if const[a] != const[b]:
-            # a fixed factor is a mixing weight; the whole share passes through
-            return [(b if const[a] else a, r)]
+def _pass_through(tape, nid, node, r, live):
+    """mul, div, scale: a fixed factor is a mixing weight; the whole share
+    passes to the one relevance-carrying operand."""
+    if node.kind == "div" and live[node.inputs[1]]:
+        raise ValueError("epsilon-LRP has no rule for a relevance-carrying divisor")
+    carriers = [pid for pid in node.inputs if live[pid]]
+    if len(carriers) > 1:
         raise ValueError("epsilon-LRP has no rule for a product of two "
                          "relevance-carrying operands")
-    if kind == "div":
-        a, b = node.inputs
-        if const[b]:
-            return [(a, r)]
-        raise ValueError("epsilon-LRP has no rule for a relevance-carrying divisor")
-    if kind == "matmul":
-        a, b = node.inputs
-        va, vb = tape.values[a], tape.values[b]
-        s = r / _stabilized(z, eps)
-        out = []
-        if not const[a]:
-            out.append((a, va * _reduce_to(s @ np.swapaxes(vb, -1, -2), va.shape)))
-        if not const[b]:
-            out.append((b, vb * _reduce_to(np.swapaxes(va, -1, -2) @ s, vb.shape)))
-        return out
-    if kind == "relu":
-        return [(node.inputs[0], r * (z > 0.0))]
-    if kind == "scale":
-        return [(node.inputs[0], r)]
-    if kind == "transpose":
-        axes = node.ctx["axes"]
-        back = np.transpose(r) if axes is None else np.transpose(r, np.argsort(axes))
-        return [(node.inputs[0], back)]
-    if kind == "reshape":
-        return [(node.inputs[0], np.reshape(r, node.ctx["shape"]))]
-    if kind == "broadcast":
-        return [(node.inputs[0], _reduce_to(r, node.ctx["shape"]))]
-    if kind == "slice":
-        full = np.zeros(node.ctx["shape"], dtype=np.float64)
-        full[node.ctx["key"]] = r
-        return [(node.inputs[0], full)]
-    if kind == "concat":
-        axis, sizes = node.ctx["axis"], node.ctx["sizes"]
-        out, offset = [], 0
-        key = [slice(None)] * r.ndim
-        for pid, size in zip(node.inputs, sizes):
-            key[axis] = slice(offset, offset + size)
-            if not const[pid]:
-                out.append((pid, r[tuple(key)]))
-            offset += size
-        return out
-    if kind in ("sum-over-axis", "mean-over-axis"):
-        (a,) = node.inputs
-        va = tape.values[a]
-        s = r / _stabilized(z, eps)
-        expanded = ad._expand_reduced(np.asarray(s), node)
-        weight = va
-        if kind == "mean-over-axis":
-            axis = node.ctx["axis"]
-            if axis is None:
-                count = va.size
-            else:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                count = int(np.prod([va.shape[ax] for ax in axes]))
-            weight = va / count
-        return [(a, weight * expanded)]
-    if kind == "gather-rows":
-        return []  # the table is a parameter; its share is absorbed
-    raise ValueError(f"epsilon-LRP has no rule for primitive {kind!r}")
+    return [(carriers[0], r)]
+
+
+def _no_rule(tape, nid, node, r, live):
+    raise ValueError(f"epsilon-LRP has no rule for primitive {node.kind!r}")
+
+
+def _lrp_rules(eps: float) -> dict:
+    rules = {kind: vjp if kind in _GRADIENT_RULE_KINDS else _no_rule
+             for kind, vjp in ad._VJPS.items()}
+    rules.update((kind, _z_rule(ad._VJPS[kind], eps)) for kind in _Z_RULE_KINDS)
+    rules.update(dict.fromkeys(("mul", "div", "scale"), _pass_through))
+    return rules
 
 
 def relevance_propagate(target: Tensor, read_at: dict[str, Tensor],
                         eps: float = 1e-6) -> dict[str, np.ndarray]:
     """Run epsilon-rule relevance from ``target`` back down its tape.
 
-    ``read_at`` names the nodes whose accumulated relevance is wanted
-    (normally the three modality probes).  The seed relevance is the
-    target's own value.
+    ``read_at`` names the tensors whose accumulated relevance is wanted
+    (normally the three modality probes); they must live on the
+    target's tape, else :class:`~icuxai.autodiff.TapeError`.  The seed
+    relevance is the target's own value.  Relevance flows only along
+    paths from the ``read_at`` tensors to the target; the shares of
+    everything else are absorbed.  The tape's gradient buffers are left
+    untouched.
     """
     tape = target.tape
-    const = _node_constness(tape)
-    rel: dict[int, np.ndarray] = {
-        target.node_id: np.array(tape.values[target.node_id], dtype=np.float64)}
-    wanted = {t.node_id: name for name, t in read_at.items()}
-    collected: dict[str, np.ndarray] = {}
-    for nid in range(target.node_id, -1, -1):
-        r = rel.pop(nid, None)
-        if r is None:
-            continue
-        if nid in wanted:
-            collected[wanted[nid]] = r.copy()
-        node = tape.nodes[nid]
-        if node.kind == "leaf":
-            continue
-        for j, rj in _lrp_spread(tape, nid, r, const, eps):
-            rel[j] = rel[j] + rj if j in rel else rj
-    for name, tensor in read_at.items():
-        if name not in collected:
-            collected[name] = np.zeros_like(tensor.data)
-    return collected
+    live = ad._path_mask(target, read_at.values())
+    rel: list[np.ndarray | None] = [None] * len(tape)
+    ad._sweep(target, np.array(target.data, dtype=np.float64), live,
+              _lrp_rules(eps), rel)
+    return {name: np.zeros_like(t.data) if rel[t.node_id] is None else rel[t.node_id]
+            for name, t in read_at.items()}
 
 
 def epsilon_lrp(model, record: MultimodalRecord, target_class: int = 1,

@@ -189,8 +189,9 @@ class Tape:
     def leaf(self, value, param: bool = False, name: str | None = None) -> Tensor:
         """Register an input value (data or parameter) as a leaf node.
 
-        ``param=True`` marks constants and trained weights; relevance
-        propagation treats those as mixing weights rather than inputs.
+        ``param=True`` marks constants and trained weights in the node's
+        context. It does not steer any pass: gradients and relevance follow
+        the path from the tensors a pass is asked about.
         """
         arr = np.ascontiguousarray(value, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
@@ -481,14 +482,10 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _expand_reduced(g: np.ndarray, node: Node) -> np.ndarray:
     """Re-insert reduced axes so `g` broadcasts against the reduction input."""
-    axis, keepdims, shape = node.ctx["axis"], node.ctx["keepdims"], node.ctx["shape"]
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    if not keepdims:
-        for ax in sorted(a % len(shape) for a in axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
+    axis = node.ctx["axis"]
+    if axis is not None and not node.ctx["keepdims"]:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, node.ctx["shape"])
 
 
 def _vjp_add(tape, nid, node, g, live):
@@ -536,10 +533,7 @@ def _vjp_matmul(tape, nid, node, g, live):
 
 def _vjp_transpose(tape, nid, node, g, live):
     axes = node.ctx["axes"]
-    if axes is None:
-        return ((node.inputs[0], np.transpose(g)),)
-    inverse = np.argsort(axes)
-    return ((node.inputs[0], np.transpose(g, inverse)),)
+    return ((node.inputs[0], np.transpose(g, None if axes is None else np.argsort(axes))),)
 
 
 def _vjp_reshape(tape, nid, node, g, live):
@@ -568,13 +562,7 @@ def _vjp_sum(tape, nid, node, g, live):
 
 
 def _vjp_mean(tape, nid, node, g, live):
-    shape = node.ctx["shape"]
-    axis = node.ctx["axis"]
-    if axis is None:
-        count = int(np.prod(shape))
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([shape[a % len(shape)] for a in axes]))
+    count = tape.values[node.inputs[0]].size // max(tape.values[nid].size, 1)
     return ((node.inputs[0], _expand_reduced(g, node) / count),)
 
 
@@ -687,7 +675,7 @@ def backward(output: Tensor, seed=None, wrt=None) -> None:
     Without ``wrt`` every node that ``output`` depends on receives its
     gradient. With ``wrt`` (an iterable of tensors on the same tape)
     only nodes on a path from some ``wrt`` tensor to ``output`` are
-    visited, and ``matmul``, ``mul`` and ``div`` skip the operand
+    expanded, and ``matmul``, ``mul`` and ``div`` skip the operand
     gradients off that path; every other node keeps ``grad is None``.
     Every contribution to an on-path node comes from an on-path node, so
     the gradients at the ``wrt`` tensors are bit-identical to those of
@@ -706,26 +694,42 @@ def backward(output: Tensor, seed=None, wrt=None) -> None:
             raise TapeError(
                 f"seed shape {seed_arr.shape} does not match output {output.data.shape}")
     live = None if wrt is None else _path_mask(output, wrt)
-    grads = tape.grads
-    grads[output.node_id] = seed_arr
+    _sweep(output, seed_arr, live, _VJPS, tape.grads)
+    tape._backward_done = True
+
+
+def _sweep(output: Tensor, seed: np.ndarray, live: list[bool] | None,
+           rules: dict[str, Callable], bufs: list) -> None:
+    """The one reverse pass: seed ``output``, then apply the VJP-shaped
+    ``rules[kind]`` down the tape (kinds without a rule stop the flow),
+    accumulating into ``bufs``. A node none of whose inputs is on the
+    ``live`` path is not expanded; off-path contributions are dropped.
+    """
+    tape = output.tape
+    bufs[output.node_id] = seed
     nodes = tape.nodes
     for nid in range(output.node_id, -1, -1):
-        g = grads[nid]
+        g = bufs[nid]
         if g is None:
             continue
         node = nodes[nid]
-        vjp = _VJPS.get(node.kind)
-        if vjp is None:  # leaf or detach: nothing flows upstream
+        rule = rules.get(node.kind)
+        if rule is None:
             continue
-        for pid, contrib in vjp(tape, nid, node, g, live):
+        if live is not None:
+            for pid in node.inputs:
+                if live[pid]:
+                    break
+            else:
+                continue
+        for pid, contrib in rule(tape, nid, node, g, live):
             if live is not None and not live[pid]:
                 continue
-            if grads[pid] is None:
-                grads[pid] = contrib if contrib.shape == tape.values[pid].shape \
+            if bufs[pid] is None:
+                bufs[pid] = contrib if contrib.shape == tape.values[pid].shape \
                     else np.broadcast_to(contrib, tape.values[pid].shape).copy()
             else:
-                grads[pid] = grads[pid] + contrib
-    tape._backward_done = True
+                bufs[pid] = bufs[pid] + contrib
 
 
 def grad_check(f: Callable[[Tensor], Tensor], point, step: float = 1e-5) -> float:

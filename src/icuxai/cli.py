@@ -39,7 +39,7 @@ from .attribution import (CSV_HEADER, EXPLAINER_KINDS,
 from .autodiff import NonFiniteError
 from .errors import DataError
 from .metrics import auc_pr, auc_roc
-from .model import ModelConfig, TriModalNet, load_checkpoint, save_checkpoint
+from .model import TriModalNet, load_checkpoint, model_config_for, save_checkpoint
 from .perturbation import compare_explainers, plot_table, write_curves_csv, \
     write_summary_csv
 from .preprocess import NormalValueTable, build_dataset
@@ -365,15 +365,10 @@ def cmd_train(args) -> None:
               "without early stopping", file=sys.stderr)
         val_idx = None
 
-    vocab = ds.meta.get("vocab")
-    config = ModelConfig(
-        width=opts["width"], heads=opts["heads"], ffn_width=opts["ffn-width"],
+    config = model_config_for(
+        ds, width=opts["width"], heads=opts["heads"], ffn_width=opts["ffn-width"],
         dropout=opts["dropout"], event_blocks=opts["blocks"],
         note_blocks=opts["blocks"], vitals_blocks=opts["blocks"],
-        event_hours=ds.events.shape[1], event_dim=ds.events.shape[2],
-        note_len=ds.notes.shape[1],
-        vocab_size=max(len(vocab) if vocab else int(ds.notes.max()) + 1, 3),
-        vitals_steps=ds.vitals.shape[1], vitals_channels=ds.vitals.shape[2],
         fusion_hidden=opts["fusion-hidden"], bias_free=opts["bias-free"],
         seed=derive_seed(seed, "model"))
     train_config = TrainConfig(
@@ -391,6 +386,7 @@ def cmd_train(args) -> None:
     model = TriModalNet(config)
     result = train_model(model, ds, train_config, train_idx=train_idx,
                          val_idx=val_idx, active=active, log_fn=log)
+    vocab = ds.meta.get("vocab")
     vocab_list = None
     if vocab:
         vocab_list = [w for w, _ in sorted(vocab.items(), key=lambda kv: kv[1])]

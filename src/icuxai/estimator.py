@@ -17,7 +17,7 @@ import numpy as np
 from .attribution import AttributionReport, Explainer
 from .errors import NotFittedError
 from .metrics import auc_roc
-from .model import (ModelConfig, TriModalNet, load_checkpoint, save_checkpoint)
+from .model import TriModalNet, load_checkpoint, model_config_for, save_checkpoint
 from .records import MODALITIES, MultimodalDataset, MultimodalRecord
 from .training import TrainConfig, TrainResult, train_model
 
@@ -94,22 +94,6 @@ class MortalityEstimator:
 
     # --- fitting ----------------------------------------------------------------
 
-    def _model_config(self, dataset: MultimodalDataset) -> ModelConfig:
-        vocab = dataset.meta.get("vocab")
-        vocab_size = len(vocab) if vocab else int(dataset.notes.max()) + 1
-        vocab_size = max(vocab_size, 3)
-        return ModelConfig(
-            width=self.width, heads=self.heads, ffn_width=self.ffn_width,
-            dropout=self.dropout, event_blocks=self.event_blocks,
-            note_blocks=self.note_blocks, vitals_blocks=self.vitals_blocks,
-            event_hours=dataset.events.shape[1],
-            event_dim=dataset.events.shape[2],
-            note_len=dataset.notes.shape[1], vocab_size=vocab_size,
-            vitals_steps=dataset.vitals.shape[1],
-            vitals_channels=dataset.vitals.shape[2],
-            fusion_hidden=self.fusion_hidden, bias_free=self.bias_free,
-            seed=self.seed)
-
     def _train_config(self) -> TrainConfig:
         return TrainConfig(
             batch_size=self.batch_size, learning_rate=self.learning_rate,
@@ -126,7 +110,12 @@ class MortalityEstimator:
             raise ValueError("labels are part of the dataset; pass y=None")
         if len(dataset) < 2 or len(np.unique(dataset.labels)) < 2:
             raise ValueError("fitting needs records from both classes")
-        self.model_ = TriModalNet(self._model_config(dataset))
+        self.model_ = TriModalNet(model_config_for(
+            dataset, width=self.width, heads=self.heads, ffn_width=self.ffn_width,
+            dropout=self.dropout, event_blocks=self.event_blocks,
+            note_blocks=self.note_blocks, vitals_blocks=self.vitals_blocks,
+            fusion_hidden=self.fusion_hidden, bias_free=self.bias_free,
+            seed=self.seed))
         self.result_ = train_model(self.model_, dataset, self._train_config(),
                                    train_idx=train_idx, val_idx=val_idx,
                                    active=self.active, log_fn=log_fn)

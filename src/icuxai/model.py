@@ -101,6 +101,24 @@ class ModelConfig:
         return BlockConfig(self.width, self.heads, self.ffn_width, self.dropout)
 
 
+def model_config_for(dataset, **structural) -> ModelConfig:
+    """The config whose input geometry fits ``dataset``.
+
+    Hours, feature width, note length, vitals grid and vocabulary size
+    come from the dataset; ``structural`` gives every other field (width,
+    heads, block counts, seed, ...). The vocabulary size is the
+    dataset's vocabulary, or one past its largest token id when it
+    carries none, and never less than the three reserved ids.
+    """
+    vocab = dataset.meta.get("vocab")
+    return ModelConfig(
+        event_hours=dataset.events.shape[1], event_dim=dataset.events.shape[2],
+        note_len=dataset.notes.shape[1],
+        vocab_size=max(len(vocab) if vocab else int(dataset.notes.max()) + 1, 3),
+        vitals_steps=dataset.vitals.shape[1],
+        vitals_channels=dataset.vitals.shape[2], **structural)
+
+
 @dataclass
 class Prediction:
     """One record's classifier output."""

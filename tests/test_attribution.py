@@ -430,20 +430,52 @@ def test_epsilon_rule_two_layer_network_by_hand():
     assert float(rel.sum()) == pytest.approx(8.0, rel=1e-5)
 
 
-def test_epsilon_lrp_rejects_nonlinear_kinds():
+@pytest.mark.parametrize("graph, message", [
+    (lambda x: ad.sum_over_axis(ad.exp(x)), "exp"),
+    (lambda x: ad.sum_over_axis(ad.mul(x, x)), "product"),
+    (lambda x: ad.sum_over_axis(ad.div(x.tape.leaf([3.0, 4.0], param=True), x)),
+     "divisor"),
+], ids=["exp", "product", "divisor"])
+def test_epsilon_lrp_rejects_unsupported(graph, message):
     tape = Tape()
     x = tape.leaf([1.0, 2.0])
-    y = ad.sum_over_axis(ad.exp(x))
-    with pytest.raises(ValueError, match="exp"):
-        relevance_propagate(y, {"x": x})
+    with pytest.raises(ValueError, match=message):
+        relevance_propagate(graph(x), {"x": x})
 
 
-def test_epsilon_lrp_rejects_variable_product():
+def test_relevance_propagate_rejects_read_at_on_another_tape():
     tape = Tape()
     x = tape.leaf([1.0, 2.0])
-    y = ad.sum_over_axis(ad.mul(x, x))
-    with pytest.raises(ValueError, match="product"):
-        relevance_propagate(y, {"x": x})
+    y = ad.sum_over_axis(ad.mul(x, tape.leaf([3.0, 4.0], param=True)))
+    other = Tape().leaf([5.0, 6.0])
+    with pytest.raises(ad.TapeError):
+        relevance_propagate(y, {"x": other})
+
+
+def test_relevance_propagate_leaves_gradients_untouched():
+    tape = Tape()
+    x = tape.leaf([1.0, 2.0])
+    y = ad.sum_over_axis(ad.mul(x, tape.leaf([3.0, 4.0], param=True)))
+    rel = relevance_propagate(y, {"x": x}, eps=1e-12)["x"]
+    np.testing.assert_allclose(rel, [3.0, 8.0], rtol=1e-12)
+    assert all(g is None for g in tape.grads)
+
+
+@pytest.mark.parametrize("bias_free", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_epsilon_lrp_tends_to_gradient_input(model, free_model, bias_free, seed):
+    # Ancona et al. 2018: as eps -> 0 the epsilon rule moves relevance
+    # exactly as the gradient does, so it reproduces gradient x input.
+    # The gap is linear in eps, about eps / |z| for the smallest
+    # stabilized |z| on the path; these records keep it under 6e-8.
+    net = free_model if bias_free else model
+    rec = make_record(seed)
+    lrp = epsilon_lrp(net, rec, target_class=seed % 2, eps=1e-12)
+    gi = gi_attribute(net, rec, target_class=seed % 2)
+    scale = max(float(np.max(np.abs(a))) for a in (gi.events, gi.notes, gi.vitals))
+    for got, want in ((lrp.events, gi.events), (lrp.notes, gi.notes),
+                      (lrp.vitals, gi.vitals)):
+        assert float(np.max(np.abs(got - want))) <= 1e-7 * scale
 
 
 def test_epsilon_lrp_near_conservation_on_bias_free_model(free_model):

@@ -276,6 +276,26 @@ def test_backward_wrt_rejects_tensor_from_another_tape():
         backward(y, wrt=[other])
 
 
+def test_backward_wrt_does_not_expand_a_root_with_no_input_on_the_path(monkeypatch):
+    # an embedding lookup probed as a wrt tensor: its table is off the
+    # path, so the scatter into a table-sized gradient never runs
+    t = Tape()
+    table = t.leaf(np.arange(12.0).reshape(6, 2), param=True)
+    emb = ad.gather_rows(table, np.array([[1, 4, 4]]))
+    y = ad.sum_over_axis(ad.mul(emb, emb))
+    calls = []
+    real = ad._VJPS["gather-rows"]
+    monkeypatch.setitem(ad._VJPS, "gather-rows",
+                        lambda *a: calls.append(a[1]) or real(*a))
+    backward(y, wrt=[emb])
+    assert calls == []
+    assert np.array_equal(emb.grad, 2.0 * emb.data)
+    assert table.grad is None
+    t.reset_grads()
+    backward(y)
+    assert calls == [emb.node_id]
+
+
 def test_backward_wrt_params_matches_full_backward_on_model_loss():
     from icuxai.blocks import Context
     from icuxai.model import ModelConfig, TriModalNet

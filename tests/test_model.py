@@ -19,10 +19,12 @@ from icuxai.model import (
     Prediction,
     TriModalNet,
     load_checkpoint,
+    model_config_for,
     save_checkpoint,
     softmax_probabilities,
 )
-from icuxai.records import CLS_ID, PAD_ID, EventSequence, NoteTokens, VitalSigns
+from icuxai.records import (CLS_ID, PAD_ID, EventSequence, MultimodalDataset,
+                            NoteTokens, VitalSigns)
 
 SMALL = dict(width=8, heads=2, ffn_width=16, dropout=0.0,
              event_blocks=1, note_blocks=1, vitals_blocks=1,
@@ -350,6 +352,26 @@ def test_model_config_validation():
         ModelConfig(**{**SMALL, "heads": 3})
     with pytest.raises(ValueError, match="unknown model config"):
         ModelConfig.from_dict({**SMALL, "not_a_field": 1})
+
+
+
+@pytest.mark.parametrize("vocab, want", [
+    ({"[PAD]": 0, "[CLS]": 1, "[UNK]": 2, "fever": 3, "stable": 4}, 5),
+    (None, 8),           # no vocabulary: one past the largest token id
+    ({}, 8),
+])
+def test_model_config_for_takes_geometry_from_the_dataset(vocab, want):
+    events, notes, vitals = small_batch(n=2)
+    notes[:, 1:4] = [[3, 7, 5], [4, 3, 6]]
+    ds = MultimodalDataset(events, np.ones_like(events), notes, vitals, [0, 1],
+                           ["a", "b"], meta={"vocab": vocab})
+    cfg = model_config_for(ds, width=8, heads=2, seed=4)
+    assert (cfg.event_hours, cfg.event_dim, cfg.note_len) == (4, 5, 8)
+    assert (cfg.vitals_steps, cfg.vitals_channels) == (6, 3)
+    assert (cfg.vocab_size, cfg.width, cfg.heads, cfg.seed) == (want, 8, 2, 4)
+    # only the three reserved ids in use still gives a valid vocabulary
+    ds.notes[:] = np.minimum(ds.notes, CLS_ID)
+    assert model_config_for(ds).vocab_size == (want if vocab else 3)
 
 
 # --- pinned regression fixtures ---------------------------------------------------
