@@ -203,7 +203,7 @@ def _probe_grad(ctx: Context, name: str) -> np.ndarray:
     g = probe.grad
     if g is None:
         g = np.zeros_like(probe.data)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteError(f"non-finite gradient at the {name} input")
     return g
 
@@ -273,11 +273,10 @@ def midpoint_alphas(steps: int) -> np.ndarray:
 #: cap on the sequence positions x model width of one stacked IG pass;
 #: the alpha grid is cut into chunks of as many rows as fit under it.
 #: This is a proxy for the tape's memory, tuned only at desk geometry
-#: (all 20 alphas in one pass) and paper geometry (4 per pass). It does
-#: not count the replayed attention maps, which are broadcast to every
-#: row at heads x L^2 cells per encoder, so a model with longer
-#: sequences or more heads may need far more memory per pass than the
-#: cap suggests.
+#: (all 20 alphas in one pass) and paper geometry (4 per pass). The
+#: replayed (1, heads, L, L) attention maps and (1, L, 1) LayerNorm
+#: denominators are held once per pass whatever the row count: binary
+#: ops and matmul broadcast them without a per-row copy.
 _IG_CELL_CAP = 1 << 18
 
 
@@ -501,7 +500,7 @@ def relevance_propagate(target: Tensor, read_at: dict[str, Tensor],
     live = ad._path_mask(target, read_at.values())
     rel: list[np.ndarray | None] = [None] * len(tape)
     ad._sweep(target, np.array(target.data, dtype=np.float64), live,
-              _lrp_rules(eps), rel)
+              _lrp_rules(eps), rel, keep={t.node_id for t in read_at.values()})
     return {name: np.zeros_like(t.data) if rel[t.node_id] is None else rel[t.node_id]
             for name, t in read_at.items()}
 

@@ -186,17 +186,16 @@ class Tape:
         self.grads.append(None)
         return Tensor(self, len(self.nodes) - 1, value)
 
-    def leaf(self, value, param: bool = False, name: str | None = None) -> Tensor:
-        """Register an input value (data or parameter) as a leaf node.
+    def leaf(self, value, name: str | None = None) -> Tensor:
+        """Register an input value (data, constant or parameter) as a leaf.
 
-        ``param=True`` marks constants and trained weights in the node's
-        context. It does not steer any pass: gradients and relevance follow
-        the path from the tensors a pass is asked about.
+        Leaves carry no role flag: gradients and relevance follow the path
+        from the tensors a pass is asked about.
         """
         arr = np.ascontiguousarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("leaf value contains NaN or Inf")
-        return self._record("leaf", (), {"param": param, "name": name}, arr)
+        return self._record("leaf", (), {"name": name}, arr)
 
     def reset_grads(self) -> None:
         """Clear all gradient buffers so backward may run again."""
@@ -213,7 +212,7 @@ def _coerce(tape: Tape, x) -> Tensor:
         if x.tape is not tape:
             raise TapeError("operands live on different tapes")
         return x
-    return tape.leaf(np.asarray(x, dtype=np.float64), param=True)
+    return tape.leaf(np.asarray(x, dtype=np.float64))
 
 
 def _tape_of(*xs) -> Tape:
@@ -224,21 +223,17 @@ def _tape_of(*xs) -> Tape:
 
 
 def _check_finite(kind: str, arr: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"primitive {kind!r} produced a non-finite value")
     return arr
 
 
 def _binary(kind: str, a, b, op: Callable) -> Tensor:
+    """Elementwise op with numpy broadcasting; no broadcast copy is recorded.
+    The reverse sweep sums each operand's gradient back to its shape."""
     tape = _tape_of(a, b)
     a = _coerce(tape, a)
     b = _coerce(tape, b)
-    if a.data.shape != b.data.shape:
-        out_shape = np.broadcast_shapes(a.data.shape, b.data.shape)
-        if a.data.shape != out_shape:
-            a = broadcast_to(a, out_shape)
-        if b.data.shape != out_shape:
-            b = broadcast_to(b, out_shape)
     with np.errstate(all="ignore"):
         value = op(a.data, b.data)
     _check_finite(kind, value)
@@ -389,13 +384,32 @@ def relu(x: Tensor) -> Tensor:
     return x.tape._record("relu", (x.node_id,), {}, value)
 
 
-def softmax_over_axis(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax (max subtraction happens internally)."""
-    z = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(z)
-    value = e / np.sum(e, axis=axis, keepdims=True)
-    _check_finite("softmax-over-axis", value)
-    return x.tape._record("softmax-over-axis", (x.node_id,), {"axis": axis}, value)
+def softmax_over_axis(x: Tensor, axis: int = -1, factor: float = 1.0,
+                      mask=None) -> Tensor:
+    """Numerically stable ``softmax(x * factor + mask)`` as one node.
+
+    ``mask`` is an optional additive constant array (attention padding)
+    that broadcasts to ``x``'s shape; it receives no gradient. The value
+    is bit-identical to recording ``scale``, ``add`` and a plain softmax
+    in turn, with the same finite checks, but the intermediate arrays are
+    computed in one buffer and only the probabilities stay on the tape.
+    Max subtraction happens internally.
+    """
+    factor = float(factor)
+    if not np.isfinite(factor):
+        raise NonFiniteError("scale factor must be finite")
+    z = x.data * factor
+    _check_finite("scale", z)
+    if mask is not None:
+        with np.errstate(all="ignore"):
+            z += mask
+        _check_finite("add", z)
+    z -= np.max(z, axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.sum(z, axis=axis, keepdims=True)
+    _check_finite("softmax-over-axis", z)
+    return x.tape._record("softmax-over-axis", (x.node_id,),
+                          {"axis": axis, "factor": factor}, z)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -594,9 +608,11 @@ def _vjp_relu(tape, nid, node, g, live):
 
 def _vjp_softmax(tape, nid, node, g, live):
     p = tape.values[nid]
-    axis = node.ctx["axis"]
+    axis, factor = node.ctx["axis"], node.ctx["factor"]
     inner = np.sum(g * p, axis=axis, keepdims=True)
-    return ((node.inputs[0], p * (g - inner)),)
+    out = p * (g - inner)
+    out *= factor
+    return ((node.inputs[0], out),)
 
 
 def _vjp_scale(tape, nid, node, g, live):
@@ -673,13 +689,16 @@ def backward(output: Tensor, seed=None, wrt=None) -> None:
     without :meth:`Tape.reset_grads` is an error.
 
     Without ``wrt`` every node that ``output`` depends on receives its
-    gradient. With ``wrt`` (an iterable of tensors on the same tape)
-    only nodes on a path from some ``wrt`` tensor to ``output`` are
-    expanded, and ``matmul``, ``mul`` and ``div`` skip the operand
-    gradients off that path; every other node keeps ``grad is None``.
-    Every contribution to an on-path node comes from an on-path node, so
-    the gradients at the ``wrt`` tensors are bit-identical to those of
-    a full backward.
+    gradient, and every buffer is kept. With ``wrt`` (an iterable of
+    tensors on the same tape) only nodes on a path from some ``wrt``
+    tensor to ``output`` are expanded, and ``matmul``, ``mul`` and ``div``
+    skip the operand gradients off that path; every other node keeps
+    ``grad is None``. Every contribution to an on-path node comes from an
+    on-path node, so the gradients at the ``wrt`` tensors are
+    bit-identical to those of a full backward. A pruned backward also
+    frees each expanded node's buffer once it has propagated, so after it
+    only the ``wrt`` tensors and leaves hold gradients (``output`` holds
+    none unless it is a ``wrt`` tensor or was never expanded).
     """
     tape = output.tape
     if tape._backward_done:
@@ -693,21 +712,30 @@ def backward(output: Tensor, seed=None, wrt=None) -> None:
         if seed_arr.shape != output.data.shape:
             raise TapeError(
                 f"seed shape {seed_arr.shape} does not match output {output.data.shape}")
-    live = None if wrt is None else _path_mask(output, wrt)
-    _sweep(output, seed_arr, live, _VJPS, tape.grads)
+    if wrt is None:
+        live, keep = None, ()
+    else:
+        wrt = list(wrt)
+        live = _path_mask(output, wrt)
+        keep = {t.node_id for t in wrt}
+    _sweep(output, seed_arr, live, _VJPS, tape.grads, keep)
     tape._backward_done = True
 
 
 def _sweep(output: Tensor, seed: np.ndarray, live: list[bool] | None,
-           rules: dict[str, Callable], bufs: list) -> None:
+           rules: dict[str, Callable], bufs: list, keep=()) -> None:
     """The one reverse pass: seed ``output``, then apply the VJP-shaped
     ``rules[kind]`` down the tape (kinds without a rule stop the flow),
-    accumulating into ``bufs``. A node none of whose inputs is on the
-    ``live`` path is not expanded; off-path contributions are dropped.
+    accumulating into ``bufs``. A contribution to a broadcast operand is
+    summed back to the operand's shape first. A node none of whose inputs
+    is on the ``live`` path is not expanded; off-path contributions are
+    dropped. With a ``live`` path, an expanded node's buffer is freed once
+    it has propagated unless its id is in ``keep``.
     """
     tape = output.tape
     bufs[output.node_id] = seed
     nodes = tape.nodes
+    values = tape.values
     for nid in range(output.node_id, -1, -1):
         g = bufs[nid]
         if g is None:
@@ -725,11 +753,15 @@ def _sweep(output: Tensor, seed: np.ndarray, live: list[bool] | None,
         for pid, contrib in rule(tape, nid, node, g, live):
             if live is not None and not live[pid]:
                 continue
+            shape = values[pid].shape
+            if contrib.shape != shape:
+                contrib = _reduce_to(contrib, shape)
             if bufs[pid] is None:
-                bufs[pid] = contrib if contrib.shape == tape.values[pid].shape \
-                    else np.broadcast_to(contrib, tape.values[pid].shape).copy()
+                bufs[pid] = contrib
             else:
                 bufs[pid] = bufs[pid] + contrib
+        if live is not None and nid not in keep:
+            bufs[nid] = None
 
 
 def grad_check(f: Callable[[Tensor], Tensor], point, step: float = 1e-5) -> float:

@@ -129,7 +129,7 @@ class Context:
         """Wrap a stored parameter as a tape leaf (once per tape)."""
         t = self._leaves.get(name)
         if t is None:
-            t = self.tape.leaf(self.params[name], param=True, name=name)
+            t = self.tape.leaf(self.params[name], name=name)
             self._leaves[name] = t
         return t
 
@@ -158,7 +158,7 @@ class Context:
                                  f"one factor per row of {t.data.shape}")
             rows = np.broadcast_to(factor, t.data.shape[:1])
             rows = rows.reshape(rows.shape + (1,) * (t.ndim - 1))
-            t = ad.mul(t, self.tape.leaf(rows, param=True))
+            t = ad.mul(t, self.tape.leaf(rows))
         self.probes[name] = t
         return t
 
@@ -193,7 +193,7 @@ def _dropout(ctx: Context, x: Tensor, rate: float) -> Tensor:
         return x
     keep = 1.0 - rate
     mask = (ctx.rng.random(x.data.shape) < keep).astype(np.float64) / keep
-    return ad.mul(x, ctx.tape.leaf(mask, param=True))
+    return ad.mul(x, ctx.tape.leaf(mask))
 
 
 @dataclass
@@ -255,7 +255,7 @@ class LayerNorm:
         replaying = (ctx.attribution and ctx.frozen is not None
                      and not ctx.frozen.recording)
         if replaying:
-            denom = ctx.tape.leaf(ctx.frozen.take("ln"), param=True)
+            denom = ctx.tape.leaf(ctx.frozen.take("ln"))
         else:
             var = ad.mean_over_axis(ad.mul(centered, centered), axis=-1, keepdims=True)
             denom = ad.sqrt(var + self.eps)
@@ -272,9 +272,12 @@ class LayerNorm:
 class MultiHeadAttention:
     """Scaled dot-product self-attention with per-head projections.
 
-    In attribution mode the post-softmax map ``p`` is detached, so the
-    value path stays differentiable while the query/key path receives
-    exactly zero gradient.
+    The scaling, the additive padding mask and the softmax are one
+    ``softmax-over-axis`` node, so the tape holds two (batch, heads, L, L)
+    values per attention: the ``q @ k^T`` scores and the map ``p``. The
+    mask is a constant and gets no gradient. In attribution mode ``p`` is
+    detached, so the value path stays differentiable while the query/key
+    path receives exactly zero gradient.
     """
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
@@ -291,7 +294,7 @@ class MultiHeadAttention:
         t = ad.reshape(t, (batch, length, self.heads, self.head_width))
         return ad.transpose(t, (0, 2, 1, 3))
 
-    def forward(self, ctx: Context, x: Tensor, attn_mask: Tensor | None = None,
+    def forward(self, ctx: Context, x: Tensor, attn_mask: np.ndarray | None = None,
                 encoder: str = "", dropout: float = 0.0) -> Tensor:
         batch, length, width = x.data.shape
         if width != self.width:
@@ -301,15 +304,14 @@ class MultiHeadAttention:
         replaying = (ctx.attribution and ctx.frozen is not None
                      and not ctx.frozen.recording)
         if replaying:
-            p = ctx.tape.leaf(ctx.frozen.take("attn"), param=True)
+            p = ctx.tape.leaf(ctx.frozen.take("attn"))
         else:
             q = self._split_heads(self.wq.forward(ctx, x), batch, length)
             k = self._split_heads(self.wk.forward(ctx, x), batch, length)
-            scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                              1.0 / np.sqrt(self.head_width))
-            if attn_mask is not None:
-                scores = ad.add(scores, attn_mask)
-            p = ad.softmax_over_axis(scores, axis=-1)
+            scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+            p = ad.softmax_over_axis(
+                scores, axis=-1, factor=1.0 / np.sqrt(self.head_width),
+                mask=attn_mask)
             if ctx.capture is not None:
                 ctx.capture.setdefault(encoder, []).append(p.data)
             if ctx.attribution:
@@ -336,7 +338,7 @@ class TransformerBlock:
         self.ffn1 = Linear(store, f"{prefix}.ffn1", rng, cfg.width, cfg.ffn_width, bias)
         self.ffn2 = Linear(store, f"{prefix}.ffn2", rng, cfg.ffn_width, cfg.width, bias)
 
-    def forward(self, ctx: Context, x: Tensor, attn_mask: Tensor | None = None,
+    def forward(self, ctx: Context, x: Tensor, attn_mask: np.ndarray | None = None,
                 encoder: str = "") -> Tensor:
         attended = self.attn.forward(ctx, x, attn_mask, encoder, self.cfg.dropout)
         a = self.ln1.forward(ctx, ad.add(x, attended))
@@ -346,8 +348,8 @@ class TransformerBlock:
         return self.ln2.forward(ctx, ad.add(a, f))
 
 
-def additive_attention_mask(tape: Tape, valid: np.ndarray) -> Tensor:
+def additive_attention_mask(valid: np.ndarray) -> np.ndarray:
     """Turn a boolean (batch, length) validity mask into an additive
-    (batch, 1, 1, length) tensor of 0 / MASK_VALUE."""
-    add = np.where(valid, 0.0, MASK_VALUE)[:, None, None, :]
-    return tape.leaf(add, param=True)
+    (batch, 1, 1, length) array of 0 / MASK_VALUE. It is a constant of
+    the softmax node, not a tape value."""
+    return np.where(valid, 0.0, MASK_VALUE)[:, None, None, :]

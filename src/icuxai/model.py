@@ -188,7 +188,7 @@ class TriModalNet:
         h = self.events_proj.forward(ctx, x)
         if not self.config.bias_free:
             pos = sinusoidal_positions(arr.shape[1], self.config.width)
-            h = ad.add(h, ctx.tape.leaf(pos, param=True))
+            h = ad.add(h, ctx.tape.leaf(pos))
         for block in self.events_blocks:
             h = block.forward(ctx, h, None, encoder="events")
         return pool_first(h)
@@ -204,7 +204,7 @@ class TriModalNet:
             pos = ad.slice_(ctx.param("notes.pos"), (slice(0, length),))
             emb = ad.add(emb, pos)
         emb = ctx.probe("notes", emb)
-        mask = additive_attention_mask(ctx.tape, ids != PAD_ID)
+        mask = additive_attention_mask(ids != PAD_ID)
         h = emb
         for block in self.notes_blocks:
             h = block.forward(ctx, h, mask, encoder="notes")
@@ -216,7 +216,7 @@ class TriModalNet:
         h = self.vitals_proj.forward(ctx, x)
         if not self.config.bias_free:
             pos = sinusoidal_positions(arr.shape[1], self.config.width)
-            h = ad.add(h, ctx.tape.leaf(pos, param=True))
+            h = ad.add(h, ctx.tape.leaf(pos))
         for block in self.vitals_blocks:
             h = block.forward(ctx, h, None, encoder="vitals")
         return pool_first(h)
@@ -247,7 +247,7 @@ class TriModalNet:
                 reps.append(encode(ctx, arr))
             else:
                 if zeros is None:
-                    zeros = ctx.tape.leaf(np.zeros((n, self.config.width)), param=True)
+                    zeros = ctx.tape.leaf(np.zeros((n, self.config.width)))
                 reps.append(zeros)
         fused = ad.concat(reps, axis=-1)
         hidden = ad.relu(self.fusion_hidden.forward(ctx, fused))

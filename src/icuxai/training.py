@@ -130,7 +130,7 @@ def weighted_ce_from_logits(logits: Tensor, labels: np.ndarray,
     logp = ad.sub(logits, lse)
     weights = np.where(labels == 1, class_weight, 1.0)
     picker = np.eye(2)[labels] * weights[:, None]
-    picked = ad.sum_over_axis(ad.mul(logp, logits.tape.leaf(picker, param=True)))
+    picked = ad.sum_over_axis(ad.mul(logp, logits.tape.leaf(picker)))
     return ad.scale(picked, -1.0 / n)
 
 
@@ -152,7 +152,7 @@ class Adam:
         c2 = 1.0 - self.beta2 ** self.t
         for name in sorted(grads):
             g = grads[name]
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise ValueError(f"non-finite gradient for parameter {name!r}")
             m = self.m.get(name)
             if m is None:

@@ -144,7 +144,7 @@ def _primitive_cases():
         ("sub", (3, 4), lambda x: red(ad.sub(ad.scale(x, 2.0), x))),
         ("mul", (3, 4), lambda x: red(ad.mul(x, ad.add(x, x)))),
         ("div", (3, 4), lambda x: red(ad.div(x, plus_one(x, (3, 4))))),
-        ("matmul", (2, 4), lambda x: red(ad.matmul(x, x.tape.leaf(w, param=True)))),
+        ("matmul", (2, 4), lambda x: red(ad.matmul(x, x.tape.leaf(w)))),
         ("transpose", (2, 3), lambda x: red(ad.transpose(x, (1, 0)))),
         ("reshape", (2, 6), lambda x: red(ad.reshape(x, (3, 4)))),
         ("concat", (2, 3), lambda x: red(ad.concat([x, ad.scale(x, -1.0)], axis=1))),

@@ -81,7 +81,7 @@ def test_gradient_input_on_linear_map_by_hand():
     # y = w . x with w=[2,-1], x=[1,4]: attribution x*grad = [2,-4], summing to y
     tape = Tape()
     x = tape.leaf([1.0, 4.0])
-    w = tape.leaf([2.0, -1.0], param=True)
+    w = tape.leaf([2.0, -1.0])
     y = ad.sum_over_axis(ad.mul(x, w))
     ad.backward(y)
     r = x.data * x.grad
@@ -254,7 +254,7 @@ def test_path_integral_equals_gradient_input_on_linear_map():
         for alpha in midpoint_alphas(steps):
             tape = Tape()
             x = tape.leaf(x0 * alpha)
-            y = ad.sum_over_axis(ad.mul(x, tape.leaf(w, param=True)))
+            y = ad.sum_over_axis(ad.mul(x, tape.leaf(w)))
             ad.backward(y)
             acc += x.grad
         np.testing.assert_allclose(x0 * acc / steps, w * x0, rtol=1e-12)
@@ -416,8 +416,8 @@ def test_epsilon_rule_two_layer_network_by_hand():
     u0 = np.array([[1.0], [1.0]])
     tape = Tape()
     x = tape.leaf(x0)
-    h = ad.relu(ad.matmul(x, tape.leaf(w0, param=True)))
-    y = ad.matmul(h, tape.leaf(u0, param=True))
+    h = ad.relu(ad.matmul(x, tape.leaf(w0)))
+    y = ad.matmul(h, tape.leaf(u0))
     rel = relevance_propagate(ad.slice_(y, (0, 0)), {"x": x}, eps=eps)["x"]
 
     # by hand: z1 = [8, -2], h = [8, 0], y = 8
@@ -433,7 +433,7 @@ def test_epsilon_rule_two_layer_network_by_hand():
 @pytest.mark.parametrize("graph, message", [
     (lambda x: ad.sum_over_axis(ad.exp(x)), "exp"),
     (lambda x: ad.sum_over_axis(ad.mul(x, x)), "product"),
-    (lambda x: ad.sum_over_axis(ad.div(x.tape.leaf([3.0, 4.0], param=True), x)),
+    (lambda x: ad.sum_over_axis(ad.div(x.tape.leaf([3.0, 4.0]), x)),
      "divisor"),
 ], ids=["exp", "product", "divisor"])
 def test_epsilon_lrp_rejects_unsupported(graph, message):
@@ -446,16 +446,48 @@ def test_epsilon_lrp_rejects_unsupported(graph, message):
 def test_relevance_propagate_rejects_read_at_on_another_tape():
     tape = Tape()
     x = tape.leaf([1.0, 2.0])
-    y = ad.sum_over_axis(ad.mul(x, tape.leaf([3.0, 4.0], param=True)))
+    y = ad.sum_over_axis(ad.mul(x, tape.leaf([3.0, 4.0])))
     other = Tape().leaf([5.0, 6.0])
     with pytest.raises(ad.TapeError):
         relevance_propagate(y, {"x": other})
 
 
+def _layer_norm_graph(explicit):
+    """An attribution-mode LayerNorm over ``x @ w`` with affine terms and a
+    relu read-out; for ``explicit`` every broadcast operand (the mean, the
+    detached denominator, gain and shift) goes through ``broadcast_to``."""
+    rng = np.random.default_rng(9)
+    tape = Tape()
+    x = tape.leaf(rng.normal(size=(2, 3, 4)))
+    h = ad.matmul(x, tape.leaf(rng.normal(size=(4, 6))))
+    widen = (lambda t: ad.broadcast_to(t, h.shape)) if explicit else (lambda t: t)
+    mu = ad.mean_over_axis(h, axis=-1, keepdims=True)
+    centered = ad.sub(h, widen(mu))
+    var = ad.mean_over_axis(ad.mul(centered, centered), axis=-1, keepdims=True)
+    denom = ad.detach(ad.sqrt(ad.add(var, 1e-5)))
+    out = ad.div(centered, widen(denom))
+    out = ad.add(ad.mul(out, widen(tape.leaf(rng.uniform(0.5, 1.5, size=6)))),
+                 widen(tape.leaf(rng.normal(size=6))))
+    return tape, x, ad.sum_over_axis(ad.relu(out))
+
+
+def test_relevance_through_broadcast_operands_matches_explicit_broadcast():
+    # x - mu puts the (2, 3, 1) mean on the relevance path as a broadcast
+    # operand; summing its share back in the sweep must give the same bits
+    # as a recorded broadcast node
+    tape, x, y = _layer_norm_graph(explicit=False)
+    tape_e, x_e, y_e = _layer_norm_graph(explicit=True)
+    assert "broadcast" not in {node.kind for node in tape.nodes}
+    assert np.array_equal(y.data, y_e.data)
+    rel = relevance_propagate(y, {"x": x}, eps=1e-6)["x"]
+    assert np.array_equal(rel, relevance_propagate(y_e, {"x": x_e}, eps=1e-6)["x"])
+    assert np.any(rel != 0.0)
+
+
 def test_relevance_propagate_leaves_gradients_untouched():
     tape = Tape()
     x = tape.leaf([1.0, 2.0])
-    y = ad.sum_over_axis(ad.mul(x, tape.leaf([3.0, 4.0], param=True)))
+    y = ad.sum_over_axis(ad.mul(x, tape.leaf([3.0, 4.0])))
     rel = relevance_propagate(y, {"x": x}, eps=1e-12)["x"]
     np.testing.assert_allclose(rel, [3.0, 8.0], rtol=1e-12)
     assert all(g is None for g in tape.grads)

@@ -69,6 +69,42 @@ def test_softmax_rows_sum_to_one_even_for_extreme_logits():
     assert np.all(p.data >= 0.0)
 
 
+def test_scaled_masked_softmax_is_one_node_matching_the_chain_bitwise():
+    rng = np.random.default_rng(3)
+    scores = rng.normal(size=(2, 3, 5, 5)) * 4.0
+    mask = np.where(rng.random((2, 1, 1, 5)) < 0.3, -1e9, 0.0)
+    weights = rng.normal(size=scores.shape)
+    factor = 1.0 / np.sqrt(8.0)
+
+    def run(fused):
+        t = Tape()
+        x = t.leaf(scores)
+        if fused:
+            p = ad.softmax_over_axis(x, axis=-1, factor=factor, mask=mask)
+        else:
+            p = ad.softmax_over_axis(
+                ad.add(ad.scale(x, factor), t.leaf(mask)), axis=-1)
+        backward(ad.sum_over_axis(ad.mul(p, t.leaf(weights))))
+        return t, x, p
+
+    t, x, p = run(fused=True)
+    _, xc, pc = run(fused=False)
+    assert [node.kind for node in t.nodes[:2]] == ["leaf", "softmax-over-axis"]
+    assert np.array_equal(p.data, pc.data)
+    assert np.array_equal(x.grad, xc.grad)
+
+
+def test_scaled_masked_softmax_keeps_the_scale_and_mask_finite_checks():
+    t = Tape()
+    x = t.leaf([[1e308, 1.0]])
+    with pytest.raises(NonFiniteError, match="scale"), np.errstate(over="ignore"):
+        ad.softmax_over_axis(x, factor=10.0)
+    with pytest.raises(NonFiniteError, match="add"):
+        ad.softmax_over_axis(x, mask=np.array([1e308, 0.0]))
+    with pytest.raises(NonFiniteError):
+        ad.softmax_over_axis(x, factor=np.inf)
+
+
 def test_detach_is_bitwise_identity_in_forward():
     t = Tape()
     x = t.leaf(RNG.normal(size=(5, 3)))
@@ -205,7 +241,7 @@ def test_backward_is_deterministic():
     def run():
         t = Tape()
         x = t.leaf(np.linspace(-1, 1, 12).reshape(3, 4))
-        w = t.leaf(np.linspace(0.5, 1.0, 8).reshape(4, 2), param=True)
+        w = t.leaf(np.linspace(0.5, 1.0, 8).reshape(4, 2))
         h = ad.softmax_over_axis(ad.matmul(x, w), axis=-1)
         y = ad.sum_over_axis(ad.mul(h, h))
         backward(y)
@@ -232,8 +268,8 @@ def _small_graph():
     lie on a path from x."""
     t = Tape()
     x = t.leaf(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
-    w = t.leaf(np.linspace(0.5, 1.5, 8).reshape(4, 2), param=True)
-    mask = t.leaf(np.array([[0.0, -3.0]]), param=True)
+    w = t.leaf(np.linspace(0.5, 1.5, 8).reshape(4, 2))
+    mask = t.leaf(np.array([[0.0, -3.0]]))
     scores = ad.add(ad.matmul(x, w), mask)
     p = ad.detach(ad.softmax_over_axis(scores, axis=-1))
     denom = ad.sqrt(ad.add(ad.mul(w, w), 1.0))
@@ -269,6 +305,24 @@ def test_backward_wrt_leaves_off_path_nodes_without_grad():
     assert detached and all(t.grads[nid] is None for nid in detached)
 
 
+def test_backward_wrt_frees_every_expanded_buffer_but_the_wrt_tensors():
+    t, x, w, y = _small_graph()
+    backward(y)
+    full = list(t.grads)
+    inner = y.node_id - 1  # the product under the final sum: a non-leaf wrt tensor
+    # a full backward keeps the buffers of the nodes it expanded
+    assert full[y.node_id] is not None and full[inner] is not None
+    for wrt in ([x], [x, w], [x, ad.Tensor(t, inner, t.values[inner])]):
+        t.reset_grads()
+        backward(y, wrt=wrt)
+        kept = {v.node_id for v in wrt}
+        for nid, g in enumerate(t.grads):
+            if nid in kept:
+                assert np.array_equal(g, full[nid])
+            elif t.nodes[nid].kind != "leaf":
+                assert g is None, (nid, t.nodes[nid].kind)
+
+
 def test_backward_wrt_rejects_tensor_from_another_tape():
     _, _, _, y = _small_graph()
     other = Tape().leaf([1.0])
@@ -280,7 +334,7 @@ def test_backward_wrt_does_not_expand_a_root_with_no_input_on_the_path(monkeypat
     # an embedding lookup probed as a wrt tensor: its table is off the
     # path, so the scatter into a table-sized gradient never runs
     t = Tape()
-    table = t.leaf(np.arange(12.0).reshape(6, 2), param=True)
+    table = t.leaf(np.arange(12.0).reshape(6, 2))
     emb = ad.gather_rows(table, np.array([[1, 4, 4]]))
     y = ad.sum_over_axis(ad.mul(emb, emb))
     calls = []
@@ -296,11 +350,9 @@ def test_backward_wrt_does_not_expand_a_root_with_no_input_on_the_path(monkeypat
     assert calls == [emb.node_id]
 
 
-def test_backward_wrt_params_matches_full_backward_on_model_loss():
-    from icuxai.blocks import Context
+def _desk_net_and_batch():
     from icuxai.model import ModelConfig, TriModalNet
     from icuxai.records import CLS_ID, PAD_ID
-    from icuxai.training import weighted_ce_from_logits
 
     net = TriModalNet(ModelConfig(
         width=16, heads=2, ffn_width=32, dropout=0.1, event_blocks=1,
@@ -313,6 +365,14 @@ def test_backward_wrt_params_matches_full_backward_on_model_loss():
     notes[:, 0] = CLS_ID
     notes[:, 1:15] = rng.integers(3, 60, size=(4, 14))
     vitals = rng.normal(size=(4, 24, 6))
+    return net, events, notes, vitals
+
+
+def test_backward_wrt_params_matches_full_backward_on_model_loss():
+    from icuxai.blocks import Context
+    from icuxai.training import weighted_ce_from_logits
+
+    net, events, notes, vitals = _desk_net_and_batch()
     labels = np.array([0, 1, 0, 1])
 
     def loss_on_tape(wrt_params):
@@ -336,6 +396,23 @@ def test_backward_wrt_params_matches_full_backward_on_model_loss():
             assert pruned.tape.grads[nid] is None
 
 
+def test_model_forward_holds_scores_and_one_softmax_value_per_attention():
+    # scale, padding mask and softmax are one node: of the attention-sized
+    # values only the q @ k^T scores and the map p stay on the tape
+    from icuxai.blocks import Context
+
+    net, events, notes, vitals = _desk_net_and_batch()
+    ctx = Context(tape=Tape(), params=net.params)
+    net.forward(ctx, events, notes, vitals)
+    heads = net.config.heads
+    for length in (12, 24):  # events have L = 12; notes and vitals share L = 24
+        kinds = [node.kind for node, v in zip(ctx.tape.nodes, ctx.tape.values)
+                 if v.shape == (4, heads, length, length)]
+        attentions = 1 if length == 12 else 2
+        assert sorted(kinds) == ["matmul"] * attentions + ["softmax-over-axis"] * attentions
+    assert "broadcast" not in {node.kind for node in ctx.tape.nodes}
+
+
 # --- gradient correctness versus central differences ------------------------
 
 def _fd_scalar_cases():
@@ -353,7 +430,7 @@ def _fd_scalar_cases():
         ("sub", (3, 4), lambda x: red(ad.sub(ad.scale(x, 2.0), x))),
         ("mul", (3, 4), lambda x: red(ad.mul(x, ad.add(x, x)))),
         ("div", (3, 4), lambda x: red(ad.div(x, ad.add(ad.mul(x, x), x.tape.leaf(np.full((3, 4), 2.0)))))),
-        ("matmul", (2, 4), lambda x: red(ad.matmul(x, x.tape.leaf(w_small, param=True)))),
+        ("matmul", (2, 4), lambda x: red(ad.matmul(x, x.tape.leaf(w_small)))),
         ("transpose", (2, 3), lambda x: red(ad.transpose(x, (1, 0)))),
         ("reshape", (2, 6), lambda x: red(ad.reshape(x, (3, 4)))),
         ("concat", (2, 3), lambda x: red(ad.concat([x, ad.scale(x, -1.0)], axis=1))),
@@ -366,6 +443,8 @@ def _fd_scalar_cases():
         ("sqrt", (3, 3), lambda x: red(ad.sqrt(ad.add(ad.mul(x, x), x.tape.leaf(np.ones((3, 3))))))),
         ("relu", (3, 4), lambda x: red(ad.relu(x))),
         ("softmax-over-axis", (3, 4), lambda x: red(ad.softmax_over_axis(x, axis=-1))),
+        ("softmax-over-axis-scaled-masked", (3, 4), lambda x: red(ad.softmax_over_axis(
+            x, axis=-1, factor=0.7, mask=np.array([0.0, -2.0, 0.0, -1e9])))),
         ("scale", (3, 4), lambda x: red(ad.scale(x, -2.5))),
         ("broadcast", (1, 4), lambda x: red(ad.broadcast_to(x, (3, 4)))),
         ("gather-rows", (4, 3), lambda x: red(ad.gather_rows(x, idx))),
@@ -394,7 +473,7 @@ def test_grad_check_quadratic_example():
 def test_grad_check_linear_is_near_exact():
     w = np.array([2.0, -1.0, 0.5])
     err = grad_check(
-        lambda x: ad.sum_over_axis(ad.mul(x, x.tape.leaf(w, param=True))),
+        lambda x: ad.sum_over_axis(ad.mul(x, x.tape.leaf(w))),
         np.array([1.0, 2.0, 3.0]), step=1e-4)
     assert err < 1e-9
 
@@ -430,12 +509,58 @@ def test_broadcast_gradient_reduces_to_source_shape():
     assert np.array_equal(bias.grad, [4.0, 4.0, 4.0])
 
 
+_BINARY_OPS = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "div": ad.div}
+
+
+def _binary_graph(op, shape_a, shape_b, explicit):
+    """y = sum(w * op(a, b)^2) with ``a``/``b`` broadcast natively or, for
+    ``explicit``, through recorded ``broadcast_to`` nodes."""
+    rng = np.random.default_rng(17)
+    t = Tape()
+    a = t.leaf(rng.uniform(0.5, 2.0, size=shape_a))
+    b = t.leaf(rng.uniform(0.5, 2.0, size=shape_b))
+    out_shape = np.broadcast_shapes(shape_a, shape_b)
+    if explicit:
+        a_op = a if a.shape == out_shape else ad.broadcast_to(a, out_shape)
+        b_op = b if b.shape == out_shape else ad.broadcast_to(b, out_shape)
+    else:
+        a_op, b_op = a, b
+    z = _BINARY_OPS[op](a_op, b_op)
+    w = t.leaf(rng.normal(size=out_shape))
+    y = ad.sum_over_axis(ad.mul(ad.mul(z, z), w))
+    return t, a, b, z, y
+
+
+@pytest.mark.parametrize("shapes", [((3, 4), (4,)), ((3, 4), (3, 1)),
+                                    ((3, 1), (1, 4)), ((1, 4), (2, 3, 4)),
+                                    ((2, 3, 4), ())],
+                         ids=["row", "column", "outer", "rank", "scalar"])
+@pytest.mark.parametrize("op", sorted(_BINARY_OPS))
+def test_broadcasting_binary_op_matches_explicit_broadcast_bitwise(op, shapes):
+    t, a, b, z, y = _binary_graph(op, *shapes, explicit=False)
+    te, ae, be, ze, ye = _binary_graph(op, *shapes, explicit=True)
+    assert "broadcast" not in {node.kind for node in t.nodes}
+    assert "broadcast" in {node.kind for node in te.nodes}
+    assert np.array_equal(z.data, ze.data)
+    backward(y)
+    backward(ye)
+    for native, explicit in ((a, ae), (b, be)):
+        assert native.grad.shape == native.shape
+        assert np.array_equal(native.grad, explicit.grad)
+    for leaf, explicit in ((a, ae), (b, be)):
+        t.reset_grads()
+        te.reset_grads()
+        backward(y, wrt=[leaf])
+        backward(ye, wrt=[explicit])
+        assert np.array_equal(leaf.grad, explicit.grad)
+
+
 def test_operator_sugar_matches_functions():
     t = Tape()
     x = t.leaf([[1.0, -2.0]])
     y = (-x * 2.0 + 1.0) / 2.0
     assert np.allclose(y.data, [[-0.5, 2.5]])
-    z = x @ t.leaf(np.array([[1.0], [1.0]]), param=True)
+    z = x @ t.leaf(np.array([[1.0], [1.0]]))
     assert np.allclose(z.data, [[-1.0]])
 
 
@@ -456,6 +581,6 @@ def test_softmax_grad_property(width, seed):
     weights = rng.uniform(0.5, 2.0, size=(2, width))  # fixed across evaluations
     err = grad_check(
         lambda x: ad.sum_over_axis(ad.mul(ad.softmax_over_axis(x, -1),
-                                          x.tape.leaf(weights, param=True))),
+                                          x.tape.leaf(weights))),
         point, step=1e-5)
     assert err < 1e-4

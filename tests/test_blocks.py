@@ -215,7 +215,7 @@ def attention_forward(mode, mask_valid=None, capture=None, frozen=None, seed=4):
     ctx = Context(tape=tape, params=store, mode=mode, capture=capture, frozen=frozen)
     mask = None
     if mask_valid is not None:
-        mask = additive_attention_mask(tape, mask_valid)
+        mask = additive_attention_mask(mask_valid)
     out = mha.forward(ctx, ctx.tape.leaf(x), mask, encoder="events")
     return ctx, out
 
@@ -283,7 +283,7 @@ def test_block_standard_gradients_match_central_differences():
     def f(x):
         ctx = Context(tape=x.tape, params=store, mode="standard")
         y = block.forward(ctx, x)
-        return ad.mul(y, x.tape.leaf(r, param=True)).sum()
+        return ad.mul(y, x.tape.leaf(r)).sum()
 
     assert ad.grad_check(f, x0, step=1e-5) < 1e-6
 
@@ -302,14 +302,14 @@ def test_block_attribution_gradients_match_frozen_replay_differences():
     ctx = Context(tape=tape, params=store, mode="attribution", frozen=frozen)
     x = tape.leaf(x0)
     y = block.forward(ctx, x)
-    ad.backward(ad.mul(y, tape.leaf(r, param=True)).sum())
+    ad.backward(ad.mul(y, tape.leaf(r)).sum())
     recorded_grad = x.grad.copy()
 
     def f(xt):
         frozen.start_replay()
         rctx = Context(tape=xt.tape, params=store, mode="attribution", frozen=frozen)
         out = block.forward(rctx, xt)
-        return ad.mul(out, xt.tape.leaf(r, param=True)).sum()
+        return ad.mul(out, xt.tape.leaf(r)).sum()
 
     assert ad.grad_check(f, x0, step=1e-5) < 1e-6
 
@@ -320,7 +320,7 @@ def test_block_attribution_gradients_match_frozen_replay_differences():
     x2 = tape2.leaf(x0)
     y2 = block.forward(ctx2, x2)
     np.testing.assert_array_equal(y2.data, y.data)
-    ad.backward(ad.mul(y2, tape2.leaf(r, param=True)).sum())
+    ad.backward(ad.mul(y2, tape2.leaf(r)).sum())
     np.testing.assert_allclose(x2.grad, recorded_grad, rtol=1e-12)
 
 
@@ -337,7 +337,7 @@ def test_bias_free_block_conserves_gradient_times_input():
         ctx = Context(tape=tape, params=store, mode="attribution")
         x = tape.leaf(x0)
         y = block.forward(ctx, x)
-        target = ad.mul(y, tape.leaf(r, param=True)).sum()
+        target = ad.mul(y, tape.leaf(r)).sum()
         ad.backward(target)
         conserved = float(np.sum(x0 * x.grad))
         assert conserved == pytest.approx(float(target.data), abs=1e-8)
@@ -355,7 +355,7 @@ def test_block_with_biases_breaks_conservation():
     ctx = Context(tape=tape, params=store, mode="attribution")
     x = tape.leaf(x0)
     y = block.forward(ctx, x)
-    target = ad.mul(y, tape.leaf(r, param=True)).sum()
+    target = ad.mul(y, tape.leaf(r)).sum()
     ad.backward(target)
     assert float(np.sum(x0 * x.grad)) != pytest.approx(float(target.data), abs=1e-8)
 
@@ -369,7 +369,7 @@ def test_valid_positions_ignore_pad_content_bitwise():
     def run(inp):
         tape = Tape()
         ctx = Context(tape=tape, params=store)
-        mask = additive_attention_mask(tape, valid)
+        mask = additive_attention_mask(valid)
         return block.forward(ctx, tape.leaf(inp), mask).data
 
     base = run(x)
@@ -446,9 +446,8 @@ def test_probe_per_row_input_scale_matches_float_scale_per_row():
 
 
 def test_additive_mask_shape_and_values():
-    tape = Tape()
     valid = np.array([[True, False], [False, True]])
-    mask = additive_attention_mask(tape, valid)
-    assert mask.data.shape == (2, 1, 1, 2)
-    assert mask.data[0, 0, 0, 0] == 0.0
-    assert mask.data[0, 0, 0, 1] == -1e9
+    mask = additive_attention_mask(valid)
+    assert mask.shape == (2, 1, 1, 2)
+    assert mask[0, 0, 0, 0] == 0.0
+    assert mask[0, 0, 0, 1] == -1e9
