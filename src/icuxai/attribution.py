@@ -223,8 +223,9 @@ def _build_report(record, explainer, target_class, target_value,
 
 
 def _standard_forward(model, record, capture=None):
-    """One inference pass; returns the logit row and any captured maps."""
-    ctx = Context(tape=Tape(), params=model.params, capture=capture)
+    """One non-recording inference pass; returns the logit row and the
+    context, whose ``capture`` holds the attention maps when one is given."""
+    ctx = Context(tape=Tape(record=False), params=model.params, capture=capture)
     logits = model.forward(ctx, *_batched(record))
     return logits.data[0], ctx
 
@@ -312,9 +313,10 @@ def integrated_gradients(model, record: MultimodalRecord, target_class: int = 1,
     target_class = _check_target_class(target_class)
     arrays = _batched(record)
     # endpoint pass: records the frozen constants, the explained value,
-    # and the input tensors the gradients get multiplied with
+    # and the input tensors the gradients get multiplied with; no
+    # backward runs on it, so its tape keeps nothing
     frozen = FrozenState()
-    end = Context(tape=Tape(), params=model.params, mode="attribution",
+    end = Context(tape=Tape(record=False), params=model.params, mode="attribution",
                   frozen=frozen)
     logits = model.forward(end, *arrays)
     target_value = float(logits.data[0, target_class])
@@ -497,6 +499,7 @@ def relevance_propagate(target: Tensor, read_at: dict[str, Tensor],
     untouched.
     """
     tape = target.tape
+    tape._require_record("relevance propagation")
     live = ad._path_mask(target, read_at.values())
     rel: list[np.ndarray | None] = [None] * len(tape)
     ad._sweep(target, np.array(target.data, dtype=np.float64), live,

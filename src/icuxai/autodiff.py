@@ -6,7 +6,8 @@ order is already a topological order and the backward sweep is a single
 reverse pass over the list. Each node stores its primitive kind, the ids
 of its inputs, and whatever forward context its vector-Jacobian product
 needs; the forward value of every node is kept on the tape so later
-passes (gradients, relevance propagation) can revisit it.
+passes (gradients, relevance propagation) can revisit it. A tape built
+with ``record=False`` keeps nothing, for forwards no backward follows.
 
 ``detach`` inserts a stop-gradient marker: identity in the forward pass,
 zero gradient to its parent. This is the single mechanism used to freeze
@@ -104,6 +105,7 @@ class Tensor:
     @property
     def grad(self) -> np.ndarray | None:
         """Gradient accumulated for this node by the last backward pass."""
+        self.tape._require_record("a gradient")
         return self.tape.grads[self.node_id]
 
     # --- operator sugar -------------------------------------------------
@@ -168,13 +170,24 @@ class Tape:
     the gradient buffer filled by :func:`backward`. Node ids are assigned
     in creation order, so every node's inputs have smaller ids and the
     list is its own topological order.
+
+    ``Tape(record=False)`` is for forwards that no backward follows
+    (inference, attention readouts). Every primitive computes its value
+    and runs its finite checks exactly as on a recording tape, so the
+    values are bit-identical, but nothing is kept: ``len(tape)`` stays 0
+    and an intermediate value is freed as soon as no caller holds it.
+    :func:`backward`, relevance propagation and :attr:`Tensor.grad` on
+    such a tape raise :class:`TapeError`.
     """
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
+        self.record = record
         self.nodes: list[Node] = []
         self.values: list[np.ndarray] = []
         self.grads: list[np.ndarray | None] = []
         self._backward_done = False
+        if not record:
+            self._record = self._discard
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -186,7 +199,16 @@ class Tape:
         self.grads.append(None)
         return Tensor(self, len(self.nodes) - 1, value)
 
-    def leaf(self, value, name: str | None = None) -> Tensor:
+    def _discard(self, kind: str, inputs: tuple[int, ...], ctx: dict,
+                 value: np.ndarray) -> Tensor:
+        """``_record`` of a non-recording tape: the value, and no node."""
+        return Tensor(self, -1, value)
+
+    def _require_record(self, what: str) -> None:
+        if not self.record:
+            raise TapeError(f"{what} needs a recording tape; this one has record=False")
+
+    def leaf(self, value) -> Tensor:
         """Register an input value (data, constant or parameter) as a leaf.
 
         Leaves carry no role flag: gradients and relevance follow the path
@@ -195,7 +217,7 @@ class Tape:
         arr = np.ascontiguousarray(value, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise NonFiniteError("leaf value contains NaN or Inf")
-        return self._record("leaf", (), {"name": name}, arr)
+        return self._record("leaf", (), {}, arr)
 
     def reset_grads(self) -> None:
         """Clear all gradient buffers so backward may run again."""
@@ -701,6 +723,7 @@ def backward(output: Tensor, seed=None, wrt=None) -> None:
     none unless it is a ``wrt`` tensor or was never expanded).
     """
     tape = output.tape
+    tape._require_record("backward")
     if tape._backward_done:
         raise TapeError("backward already ran on this tape; call reset_grads() first")
     if seed is None:
@@ -786,7 +809,7 @@ def grad_check(f: Callable[[Tensor], Tensor], point, step: float = 1e-5) -> floa
         analytic = np.zeros_like(x0)
 
     def _eval(arr: np.ndarray) -> float:
-        t = Tape()
+        t = Tape(record=False)
         return float(f(t.leaf(arr)).data)
 
     numeric = np.empty_like(x0)

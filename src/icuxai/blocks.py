@@ -129,7 +129,7 @@ class Context:
         """Wrap a stored parameter as a tape leaf (once per tape)."""
         t = self._leaves.get(name)
         if t is None:
-            t = self.tape.leaf(self.params[name], name=name)
+            t = self.tape.leaf(self.params[name])
             self._leaves[name] = t
         return t
 

@@ -54,6 +54,11 @@ from .records import (
 
 CHECKPOINT_VERSION = 1
 
+#: memory budget of one inference batch's attention: ``predict_proba``
+#: takes no more rows than fit their scores and softmax maps, two float64
+#: (heads, L, L) arrays per row, into this many bytes
+_INFERENCE_ATTENTION_BYTES = 128 << 20
+
 
 @dataclass
 class ModelConfig:
@@ -255,12 +260,26 @@ class TriModalNet:
 
     def predict_proba(self, events, notes, vitals, batch_size: int = 256,
                       active: tuple[str, ...] = MODALITIES) -> np.ndarray:
-        """Class probabilities (n, 2), computed in inference batches."""
-        n = np.asarray(events).shape[0]
+        """Class probabilities (n, 2), computed in inference batches.
+
+        Each batch runs on a non-recording tape, so a forward holds only
+        the values still in use. ``batch_size`` is an upper bound: a batch
+        takes at most as many rows as fit their two float64 (heads, L, L)
+        attention buffers, the scores and the softmax map, into
+        ``_INFERENCE_ATTENTION_BYTES``, where L is the longest of the three
+        input sequences. BLAS may round the last ulps differently at
+        another batch size, so a cut batch is not bit-equal to an uncut one.
+        """
+        arrays = tuple(np.asarray(a) for a in (events, notes, vitals))
+        events, notes, vitals = arrays
+        n = events.shape[0]
+        length = max([1] + [a.shape[1] for a in arrays if a.ndim > 1])
+        row_bytes = 2 * self.config.heads * length * length * 8
+        batch_size = max(1, min(batch_size, _INFERENCE_ATTENTION_BYTES // row_bytes))
         out = []
         for start in range(0, n, batch_size):
             stop = min(start + batch_size, n)
-            ctx = Context(tape=Tape(), params=self.params)
+            ctx = Context(tape=Tape(record=False), params=self.params)
             logits = self.forward(ctx, events[start:stop], notes[start:stop],
                                   vitals[start:stop], active)
             out.append(softmax_probabilities(logits.data))
@@ -274,17 +293,17 @@ class TriModalNet:
 
     def encode_events(self, e, mode: str = "standard") -> np.ndarray:
         arr = e.values if isinstance(e, EventSequence) else np.asarray(e)
-        ctx = Context(tape=Tape(), params=self.params, mode=mode)
+        ctx = Context(tape=Tape(record=False), params=self.params, mode=mode)
         return self._events_rep(ctx, arr[None]).data[0]
 
     def encode_notes(self, c, mode: str = "standard") -> np.ndarray:
         ids = c.ids if isinstance(c, NoteTokens) else np.asarray(c)
-        ctx = Context(tape=Tape(), params=self.params, mode=mode)
+        ctx = Context(tape=Tape(record=False), params=self.params, mode=mode)
         return self._notes_rep(ctx, ids[None]).data[0]
 
     def encode_vitals(self, v, mode: str = "standard") -> np.ndarray:
         arr = v.values if isinstance(v, VitalSigns) else np.asarray(v)
-        ctx = Context(tape=Tape(), params=self.params, mode=mode)
+        ctx = Context(tape=Tape(record=False), params=self.params, mode=mode)
         return self._vitals_rep(ctx, arr[None]).data[0]
 
     def fuse_and_classify(self, reps, mode: str = "standard") -> Prediction:
@@ -293,7 +312,7 @@ class TriModalNet:
         if len(vecs) != 3 or any(v.shape != (self.config.width,) for v in vecs):
             raise ValueError(f"expected three vectors of width {self.config.width}, "
                              f"got shapes {[v.shape for v in vecs]}")
-        ctx = Context(tape=Tape(), params=self.params, mode=mode)
+        ctx = Context(tape=Tape(record=False), params=self.params, mode=mode)
         fused = ctx.tape.leaf(np.concatenate(vecs)[None])
         hidden = ad.relu(self.fusion_hidden.forward(ctx, fused))
         logits = self.fusion_out.forward(ctx, hidden).data[0]

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import NonFiniteError, Tape, Tensor
 from .blocks import Context, ParamStore
 from .metrics import auc_pr, auc_roc
 from .records import MODALITIES, MultimodalDataset
@@ -138,7 +138,8 @@ def weighted_ce_from_logits(logits: Tensor, labels: np.ndarray,
 
 class Adam:
     """Bias-corrected Adam. Parameters absent from a step's gradient dict
-    are left untouched (ablated encoders receive no updates)."""
+    are left untouched (ablated encoders receive no updates). A NaN or Inf
+    gradient raises :class:`NonFiniteError` naming the parameter."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -153,7 +154,7 @@ class Adam:
         for name in sorted(grads):
             g = grads[name]
             if not np.isfinite(g).all():
-                raise ValueError(f"non-finite gradient for parameter {name!r}")
+                raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
             m = self.m.get(name)
             if m is None:
                 m = np.zeros_like(g)
@@ -166,9 +167,12 @@ class Adam:
 
 def clip_global_norm(grads: dict[str, np.ndarray],
                      max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients down so their joint L2 norm is at most max_norm."""
+    """Scale all gradients down so their joint L2 norm is at most max_norm.
+
+    A non-finite norm leaves the gradients as they are, so the optimizer
+    can name the parameter whose gradient is not finite."""
     total = math.sqrt(math.fsum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm > 0.0:
+    if math.isfinite(total) and total > max_norm > 0.0:
         factor = max_norm / total
         grads = {k: g * factor for k, g in grads.items()}
     return grads, total
@@ -299,7 +303,10 @@ def train_model(model, dataset: MultimodalDataset, config: TrainConfig,
             loss = weighted_ce_from_logits(logits, labels[batch], config.class_weight)
             ad.backward(loss, wrt=ctx.param_leaves())
             grads, _ = clip_global_norm(ctx.param_grads(), config.clip_norm)
-            optimizer.step(model.params, grads, lr)
+            try:
+                optimizer.step(model.params, grads, lr)
+            except NonFiniteError as e:
+                raise NonFiniteError(f"epoch {epoch}: {e}") from e
             losses.append(float(loss.data))
         entry = {"epoch": epoch, "loss": float(np.mean(losses)), "lr": lr}
         if val_idx is not None and val_idx.size:

@@ -363,6 +363,25 @@ def test_attention_last_matches_captured_map(model):
     assert rep.target_value == float(logits.data[0, 1])
 
 
+@pytest.mark.parametrize("explainer", [attention_last, attention_rollout,
+                                       random_attribution])
+def test_attention_and_random_reports_equal_ones_from_a_recording_forward(
+        model, explainer, monkeypatch):
+    from icuxai import attribution
+
+    rec = make_record(15)
+    seen = []
+    monkeypatch.setattr(attribution, "Tape",
+                        lambda record=True: seen.append(record) or Tape(record))
+    built = explainer(model, rec)
+    assert seen == [False]
+    monkeypatch.setattr(attribution, "Tape", lambda record=True: Tape())
+    recorded = explainer(model, rec)
+    assert built.target_value == recorded.target_value
+    for name in ("events", "notes", "vitals", "note_ids"):
+        assert np.array_equal(getattr(built, name), getattr(recorded, name)), name
+
+
 def test_rollout_with_identity_maps_is_identity():
     eye = np.broadcast_to(np.eye(5), (2, 5, 5)).copy()  # 2 heads
     out = rollout_matrix([eye, eye])

@@ -1,5 +1,7 @@
 """Tape, primitives, backward, and the finite-difference oracle."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -413,6 +415,50 @@ def test_model_forward_holds_scores_and_one_softmax_value_per_attention():
     assert "broadcast" not in {node.kind for node in ctx.tape.nodes}
 
 
+# --- non-recording tapes ----------------------------------------------------
+
+def test_non_recording_tape_keeps_no_node_through_a_model_forward():
+    from icuxai.blocks import Context
+
+    net, events, notes, vitals = _desk_net_and_batch()
+    for mode in ("standard", "attribution"):
+        tape = Tape(record=False)
+        logits = net.forward(Context(tape=tape, params=net.params, mode=mode),
+                             events, notes, vitals)
+        assert logits.shape == (4, 2)
+        assert len(tape) == 0 and tape.values == [] and tape.grads == []
+
+
+def test_non_recording_tape_refuses_backward_relevance_and_grad():
+    from icuxai.attribution import relevance_propagate
+
+    tape = Tape(record=False)
+    x = tape.leaf(np.array([1.0, 2.0]))
+    y = ad.sum_over_axis(ad.mul(x, x))
+    assert float(y.data) == 5.0
+    with pytest.raises(TapeError, match="recording tape"):
+        backward(y)
+    with pytest.raises(TapeError, match="recording tape"):
+        backward(y, wrt=[x])
+    with pytest.raises(TapeError, match="recording tape"):
+        relevance_propagate(y, {"x": x})
+    with pytest.raises(TapeError, match="recording tape"):
+        _ = x.grad
+
+
+def test_non_recording_tape_keeps_the_finite_checks():
+    tape = Tape(record=False)
+    with pytest.raises(NonFiniteError):
+        tape.leaf(np.array([1.0, np.inf]))
+    x = tape.leaf(np.array([0.0, 1.0]))
+    with pytest.raises(NonFiniteError):
+        ad.div(tape.leaf(np.ones(2)), x)
+    with pytest.raises(NonFiniteError):
+        ad.exp(ad.scale(tape.leaf(np.array([800.0])), 1.0))
+    with pytest.raises(NonFiniteError):
+        ad.softmax_over_axis(x, factor=np.inf)
+
+
 # --- gradient correctness versus central differences ------------------------
 
 def _fd_scalar_cases():
@@ -451,17 +497,34 @@ def _fd_scalar_cases():
     ]
 
 
+def _top_two_gap(point, axis):
+    top = np.sort(point, axis=axis)
+    return np.min(np.take(top, -1, axis=axis) - np.take(top, -2, axis=axis))
+
+
 @pytest.mark.parametrize("name,shape,builder", _fd_scalar_cases(),
                          ids=[c[0] for c in _fd_scalar_cases()])
 def test_every_primitive_matches_central_differences(name, shape, builder):
-    rng = np.random.default_rng(hash(name) % (2**32))
+    # a stable per-case seed: str hashes are salted per process
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     worst = 0.0
     for _ in range(100):
         # keep coordinates away from zero so the relative-error metric is
         # well conditioned (and away from relu's kink)
-        point = rng.uniform(0.3, 1.4, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+        while True:
+            point = rng.uniform(0.3, 1.4, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+            # a near-tie would let the 1e-5 step flip max's argmax
+            if name != "max-over-axis" or _top_two_gap(point, axis=0) >= 1e-3:
+                break
         worst = max(worst, grad_check(builder, point, step=1e-5))
     assert worst < 1e-4, f"{name}: max rel error {worst}"
+
+
+def test_max_splits_the_gradient_evenly_across_ties():
+    t = Tape()
+    x = t.leaf([[1.0, 3.0], [1.0, 0.0], [0.5, 3.0]])
+    backward(ad.sum_over_axis(ad.max_over_axis(x, axis=0)))
+    assert np.array_equal(x.grad, [[0.5, 0.5], [0.5, 0.0], [0.0, 0.5]])
 
 
 def test_grad_check_quadratic_example():

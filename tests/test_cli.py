@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,26 @@ def test_numerical_errors_exit_3(workdir, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.splitlines() == [
         "numerical error: non-finite gradient at the events input"]
+
+
+def test_non_finite_training_gradient_exits_3(workdir, tmp_path, monkeypatch, capsys):
+    from icuxai import autodiff
+
+    real_backward = autodiff.backward
+
+    def backward_with_inf_param_grad(output, seed=None, wrt=None):
+        wrt = list(wrt)
+        real_backward(output, seed, wrt)
+        output.tape.grads[wrt[0].node_id] = np.full_like(wrt[0].data, np.inf)
+
+    monkeypatch.setattr(autodiff, "backward", backward_with_inf_param_grad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be one more stderr line
+        assert run(["train", "--data", str(workdir / "data.npz"), "--out", str(tmp_path)]
+                   + TRAIN_ARGS) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "numerical error: epoch 0: non-finite gradient for parameter 'events.in_proj.w'"]
 
 
 def test_help_and_version_exit_0(capsys):

@@ -160,6 +160,52 @@ def test_predict_proba_is_independent_of_batch_size(small_model):
         rtol=1e-12)
 
 
+def _recorded_probabilities(model, events, notes, vitals, active):
+    tape = Tape()
+    logits = model.forward(Context(tape=tape, params=model.params),
+                           events, notes, vitals, active)
+    assert len(tape) > 0
+    return softmax_probabilities(logits.data)
+
+
+@pytest.mark.parametrize("bias_free", [False, True])
+@pytest.mark.parametrize("active", [("events", "notes", "vitals"), ("notes", "vitals")])
+def test_predict_proba_equals_a_recording_forward_bitwise(bias_free, active):
+    model = TriModalNet(ModelConfig(**dict(SMALL, bias_free=bias_free)))
+    events, notes, vitals = small_batch(5, seed=4)
+    assert np.array_equal(
+        model.predict_proba(events, notes, vitals, active=active),
+        _recorded_probabilities(model, events, notes, vitals, active))
+
+
+def test_predict_proba_cuts_batches_to_the_attention_byte_budget(small_model, monkeypatch):
+    from icuxai import model as model_module
+
+    events, notes, vitals = small_batch(7, seed=9)
+    whole = small_model.predict_proba(events, notes, vitals)
+    # L = 8 (the notes), 2 heads: scores and p take 2 * 2 * 8 * 8 * 8 bytes a row
+    row_bytes = 2 * 2 * 8 * 8 * 8
+    monkeypatch.setattr(model_module, "_INFERENCE_ATTENTION_BYTES", 3 * row_bytes + 1)
+    rows = []
+    real_forward = TriModalNet.forward
+
+    def counting_forward(self, ctx, ev, *args, **kwargs):
+        rows.append(len(ev))
+        return real_forward(self, ctx, ev, *args, **kwargs)
+
+    monkeypatch.setattr(TriModalNet, "forward", counting_forward)
+    cut = small_model.predict_proba(events, notes, vitals)
+    assert rows == [3, 3, 1]
+    np.testing.assert_allclose(cut, whole, rtol=1e-12, atol=1e-12)
+    rows.clear()
+    small_model.predict_proba(events, notes, vitals, batch_size=2)  # an upper bound
+    assert rows == [2, 2, 2, 1]
+    rows.clear()
+    monkeypatch.setattr(model_module, "_INFERENCE_ATTENTION_BYTES", 1)
+    small_model.predict_proba(events, notes, vitals)  # never below one row
+    assert rows == [1] * 7
+
+
 # --- fusion and ablation ---------------------------------------------------------
 
 def test_equal_logits_give_even_probabilities():

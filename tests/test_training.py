@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from icuxai import autodiff as ad
-from icuxai.autodiff import Tape
+from icuxai.autodiff import NonFiniteError, Tape
 from icuxai.model import ModelConfig, TriModalNet
 from icuxai.records import CLS_ID, PAD_ID, MultimodalDataset
 from icuxai.training import (
@@ -110,7 +110,7 @@ def test_adam_skips_parameters_without_gradients():
 
 def test_adam_rejects_non_finite_gradients():
     store = make_store({"w": np.array([1.0])})
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(NonFiniteError, match="non-finite gradient for parameter 'w'"):
         Adam().step(store, {"w": np.array([np.inf])}, lr=0.1)
 
 
