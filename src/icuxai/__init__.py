@@ -24,8 +24,7 @@ from .errors import (CheckpointError, DataError, NotFittedError, ParseError,
                      RecordRejectedError, SchemaError)
 from .estimator import MortalityEstimator
 from .metrics import auc_pr, auc_roc
-from .model import (ModelConfig, Prediction, TriModalNet, load_checkpoint,
-                    save_checkpoint)
+from .model import ModelConfig, TriModalNet, load_checkpoint, save_checkpoint
 from .perturbation import (PerturbationCurve, area_under, compare_explainers,
                            default_fractions, perturbation_curve)
 from .preprocess import (EventPreprocessor, NormalValueTable, NotePreprocessor,
@@ -45,7 +44,7 @@ __all__ = [
     "RecordRejectedError", "SchemaError",
     "MortalityEstimator",
     "auc_pr", "auc_roc",
-    "ModelConfig", "Prediction", "TriModalNet", "load_checkpoint",
+    "ModelConfig", "TriModalNet", "load_checkpoint",
     "save_checkpoint",
     "PerturbationCurve", "area_under", "compare_explainers",
     "default_fractions", "perturbation_curve",

@@ -35,7 +35,6 @@ __all__ = [
     "Tape",
     "Tensor",
     "PRIMITIVE_KINDS",
-    "forward_primitive",
     "backward",
     "grad_check",
     "add",
@@ -467,42 +466,6 @@ def detach(x: Tensor) -> Tensor:
     return x.tape._record("detach", (x.node_id,), {}, x.data)
 
 
-_FORWARDS: dict[str, Callable] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "matmul": matmul,
-    "transpose": transpose,
-    "reshape": reshape,
-    "concat": lambda *xs, axis=0: concat(xs, axis=axis),
-    "slice": slice_,
-    "sum-over-axis": sum_over_axis,
-    "mean-over-axis": mean_over_axis,
-    "max-over-axis": max_over_axis,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "relu": relu,
-    "softmax-over-axis": softmax_over_axis,
-    "scale": scale,
-    "broadcast": broadcast_to,
-    "gather-rows": gather_rows,
-    "detach": detach,
-}
-
-PRIMITIVE_KINDS = tuple(_FORWARDS)
-
-
-def forward_primitive(kind: str, *inputs, **kwargs) -> Tensor:
-    """Apply a primitive by its kind string (the stable dispatch surface)."""
-    try:
-        fn = _FORWARDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive kind {kind!r}") from None
-    return fn(*inputs, **kwargs)
-
-
 # --- backward -----------------------------------------------------------
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -673,6 +636,8 @@ _VJPS: dict[str, Callable] = {
     "broadcast": _vjp_broadcast,
     "gather-rows": _vjp_gather,
 }
+
+PRIMITIVE_KINDS = (*_VJPS, "detach")
 
 
 def _path_mask(output: Tensor, wrt) -> list[bool]:

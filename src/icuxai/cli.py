@@ -14,6 +14,8 @@ the INI section is named after the subcommand::
 Exit codes: 0 success, 1 usage error (bad flags, bad option values),
 2 data error (missing or malformed inputs, rejected records), 3 numerical
 error (a NaN or Inf in the forward pass or in an attribution gradient).
+An error exit also appends an ``error`` event to ``log.jsonl`` when the
+run directory already exists.
 
 Randomness policy: one ``--seed`` per invocation; components derive
 their own streams from it by hashing a fixed label, so e.g. the train
@@ -373,8 +375,7 @@ def cmd_train(args) -> None:
         seed=derive_seed(seed, "model"))
     train_config = TrainConfig(
         batch_size=opts["batch-size"], learning_rate=opts["learning-rate"],
-        dropout=opts["dropout"], encoder_blocks=opts["blocks"],
-        heads=opts["heads"], class_weight=opts["class-weight"],
+        dropout=opts["dropout"], class_weight=opts["class-weight"],
         epochs=opts["epochs"], seed=derive_seed(seed, "train"),
         upsample=opts["upsample"], patience=opts["patience"],
         clip_norm=opts["clip-norm"])
@@ -786,18 +787,25 @@ def run(argv=None) -> int:
     try:
         args.handler(args)
         return 0
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except (DataError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as e:
+        code, prefix, error = 2, "error", e
     except (UsageError, ValueError) as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
+        code, prefix, error = 1, "usage error", e
     except NonFiniteError as e:
-        print(f"numerical error: {e}", file=sys.stderr)
-        return 3
+        code, prefix, error = 3, "numerical error", e
+    print(f"{prefix}: {error}", file=sys.stderr)
+    _log_error(args, code, error)
+    return code
+
+
+def _log_error(args, code: int, error: Exception) -> None:
+    """Append an error event to the run directory's log, if that
+    directory exists; ``report`` writes a file, not a run directory."""
+    if args.command == "report" or not Path(args.out).is_dir():
+        return
+    _logger(Path(args.out))({"event": "error", "command": args.command,
+                             "exit": code, "message": str(error)})
 
 
 def entry() -> None:

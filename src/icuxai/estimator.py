@@ -97,8 +97,7 @@ class MortalityEstimator:
     def _train_config(self) -> TrainConfig:
         return TrainConfig(
             batch_size=self.batch_size, learning_rate=self.learning_rate,
-            dropout=self.dropout, encoder_blocks=self.event_blocks,
-            heads=self.heads, class_weight=self.class_weight,
+            dropout=self.dropout, class_weight=self.class_weight,
             epochs=self.epochs, seed=self.seed, upsample=self.upsample,
             patience=self.patience, clip_norm=self.clip_norm)
 

@@ -44,9 +44,6 @@ from .errors import CheckpointError
 from .records import (
     MODALITIES,
     PAD_ID,
-    EventSequence,
-    NoteTokens,
-    VitalSigns,
     check_events,
     check_notes,
     check_vitals,
@@ -122,21 +119,6 @@ def model_config_for(dataset, **structural) -> ModelConfig:
         vocab_size=max(len(vocab) if vocab else int(dataset.notes.max()) + 1, 3),
         vitals_steps=dataset.vitals.shape[1],
         vitals_channels=dataset.vitals.shape[2], **structural)
-
-
-@dataclass
-class Prediction:
-    """One record's classifier output."""
-
-    logits: np.ndarray          # (2,)
-    probabilities: np.ndarray   # (2,), softmax of the logits
-    death_probability: float    # probabilities[1]
-
-    def __post_init__(self):
-        if abs(float(np.sum(self.probabilities)) - 1.0) > 1e-9:
-            raise ValueError("class probabilities must sum to 1")
-        if np.any(self.probabilities < 0.0) or np.any(self.probabilities > 1.0):
-            raise ValueError("class probabilities must lie in [0, 1]")
 
 
 def softmax_probabilities(logits: np.ndarray) -> np.ndarray:
@@ -288,40 +270,6 @@ class TriModalNet:
     def predict(self, events, notes, vitals, batch_size: int = 256) -> np.ndarray:
         probs = self.predict_proba(events, notes, vitals, batch_size)
         return (probs[:, 1] >= 0.5).astype(np.int64)
-
-    # --- single-record operations -------------------------------------------
-
-    def encode_events(self, e, mode: str = "standard") -> np.ndarray:
-        arr = e.values if isinstance(e, EventSequence) else np.asarray(e)
-        ctx = Context(tape=Tape(record=False), params=self.params, mode=mode)
-        return self._events_rep(ctx, arr[None]).data[0]
-
-    def encode_notes(self, c, mode: str = "standard") -> np.ndarray:
-        ids = c.ids if isinstance(c, NoteTokens) else np.asarray(c)
-        ctx = Context(tape=Tape(record=False), params=self.params, mode=mode)
-        return self._notes_rep(ctx, ids[None]).data[0]
-
-    def encode_vitals(self, v, mode: str = "standard") -> np.ndarray:
-        arr = v.values if isinstance(v, VitalSigns) else np.asarray(v)
-        ctx = Context(tape=Tape(record=False), params=self.params, mode=mode)
-        return self._vitals_rep(ctx, arr[None]).data[0]
-
-    def fuse_and_classify(self, reps, mode: str = "standard") -> Prediction:
-        """Classify from three modality vectors (ablations pass zeros)."""
-        vecs = [np.asarray(r, dtype=np.float64) for r in reps]
-        if len(vecs) != 3 or any(v.shape != (self.config.width,) for v in vecs):
-            raise ValueError(f"expected three vectors of width {self.config.width}, "
-                             f"got shapes {[v.shape for v in vecs]}")
-        ctx = Context(tape=Tape(record=False), params=self.params, mode=mode)
-        fused = ctx.tape.leaf(np.concatenate(vecs)[None])
-        hidden = ad.relu(self.fusion_hidden.forward(ctx, fused))
-        logits = self.fusion_out.forward(ctx, hidden).data[0]
-        probs = softmax_probabilities(logits)
-        return Prediction(logits=logits, probabilities=probs,
-                          death_probability=float(probs[1]))
-
-    def n_parameters(self) -> int:
-        return self.params.n_values()
 
 
 # --- persistence -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Training: loss, optimizer, schedule, rebalancing, CV, and grid search.
+"""Training: loss, optimizer, schedule, rebalancing and cross-validation.
 
 The loss is weighted cross-entropy. For training it is computed on the
 tape from logits through a log-softmax composition (never materializing
@@ -12,9 +12,8 @@ validation AUC-ROC with a fixed patience and restores the best weights.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,43 +23,12 @@ from .blocks import Context, ParamStore
 from .metrics import auc_pr, auc_roc
 from .records import MODALITIES, MultimodalDataset
 
-#: hyperparameter ranges searched per single-modality model. Discrete
-#: tuples are exact choices; 2-tuples tagged "range" are inclusive bounds.
-SEARCH_SPACE = {
-    "events": {
-        "batch_size": (128, 256, 512),
-        "learning_rate": ("range", 1e-5, 1e-2),
-        "dropout": ("range", 0.1, 0.5),
-        "encoder_blocks": ("range", 1, 6),
-        "heads": (4, 8, 16, 32),
-        "class_weight": ("range", 1.0, 3.0),
-    },
-    "notes": {
-        "batch_size": (8, 16, 32),
-        "learning_rate": ("range", 1e-5, 1e-4),
-        "dropout": ("range", 0.1, 0.5),
-        "encoder_blocks": ("range", 5, 10),
-        "heads": (4, 8, 16, 32),
-        "class_weight": ("range", 1.0, 3.0),
-    },
-    "vitals": {
-        "batch_size": (8, 16, 32),
-        "learning_rate": ("range", 1e-5, 1e-3),
-        "dropout": ("range", 0.1, 0.5),
-        "encoder_blocks": ("range", 1, 4),
-        "heads": (4, 8, 16, 32),
-        "class_weight": ("range", 1.0, 3.0),
-    },
-}
-
 
 @dataclass
 class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
-    dropout: float = 0.1
-    encoder_blocks: int = 2
-    heads: int = 4
+    dropout: float = 0.1    # not read by train_model; ModelConfig.dropout is the model's
     class_weight: float = 1.0
     epochs: int = 30
     seed: int = 0
@@ -75,36 +43,12 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.encoder_blocks < 1 or self.heads < 1:
-            raise ValueError("encoder_blocks and heads must be positive")
         if self.class_weight <= 0:
             raise ValueError("class_weight must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
         if self.patience < 1:
             raise ValueError("patience must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def validate_search_config(config: TrainConfig, modality: str) -> None:
-    """Check a configuration against the searched ranges for a modality."""
-    try:
-        space = SEARCH_SPACE[modality]
-    except KeyError:
-        raise ValueError(f"unknown modality {modality!r}; "
-                         f"expected one of {sorted(SEARCH_SPACE)}") from None
-    for name, allowed in space.items():
-        value = getattr(config, name)
-        if allowed[0] == "range":
-            lo, hi = allowed[1], allowed[2]
-            if not lo <= value <= hi:
-                raise ValueError(f"{name}={value} outside the searched "
-                                 f"[{lo}, {hi}] range for {modality}")
-        elif value not in allowed:
-            raise ValueError(f"{name}={value} not among the searched choices "
-                             f"{allowed} for {modality}")
 
 
 # --- loss ----------------------------------------------------------------------
@@ -139,7 +83,8 @@ def weighted_ce_from_logits(logits: Tensor, labels: np.ndarray,
 class Adam:
     """Bias-corrected Adam. Parameters absent from a step's gradient dict
     are left untouched (ablated encoders receive no updates). A NaN or Inf
-    gradient raises :class:`NonFiniteError` naming the parameter."""
+    gradient raises :class:`NonFiniteError` naming the parameter, before
+    any parameter, moment or the step count changes."""
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -148,13 +93,15 @@ class Adam:
         self.t = 0
 
     def step(self, params: ParamStore, grads: dict[str, np.ndarray], lr: float) -> None:
+        names = sorted(grads)
+        for name in names:
+            if not np.isfinite(grads[name]).all():
+                raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name in sorted(grads):
+        for name in names:
             g = grads[name]
-            if not np.isfinite(g).all():
-                raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
             m = self.m.get(name)
             if m is None:
                 m = np.zeros_like(g)
@@ -357,55 +304,3 @@ def cross_validate(dataset: MultimodalDataset, build_model, config: TrainConfig,
         })
     return rows
 
-
-def grid_search(dataset: MultimodalDataset, configs, build_model, plan: SplitPlan,
-                modality: str | None = None,
-                active: tuple[str, ...] = MODALITIES,
-                csv_path=None, log_fn=None) -> tuple[TrainConfig, list[dict]]:
-    """Evaluate every configuration by mean validation AUC-ROC over folds.
-
-    ``build_model(cfg)`` receives the candidate TrainConfig (structural
-    fields like encoder_blocks/heads/dropout feed the model). When
-    ``modality`` is given, every candidate is checked against that
-    modality's searched ranges first. Returns the winning config and the
-    full per-(config, fold) results table, optionally also written as CSV.
-    """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("empty hyperparameter grid")
-    if modality is not None:
-        for cfg in configs:
-            validate_search_config(cfg, modality)
-    rows = []
-    scores = []
-    for ci, cfg in enumerate(configs):
-        fold_aucs = []
-        for fold in range(plan.k):
-            fit_idx, val_idx = plan.train_val(fold, dataset.labels)
-            model = build_model(cfg)
-            train_model(model, dataset, cfg, fit_idx, val_idx, active, log_fn)
-            probs = model.predict_proba(dataset.events[val_idx], dataset.notes[val_idx],
-                                        dataset.vitals[val_idx], active=active)
-            roc = auc_roc(dataset.labels[val_idx], probs[:, 1])
-            pr = auc_pr(dataset.labels[val_idx], probs[:, 1])
-            fold_aucs.append(roc)
-            rows.append({"config_index": ci, **cfg.to_dict(),
-                         "fold": fold, "auc_roc": roc, "auc_pr": pr})
-        scores.append(float(np.mean(fold_aucs)))
-    best = int(np.argmax(scores))  # ties resolve to the earliest config
-    if csv_path is not None:
-        write_results_csv(rows, csv_path)
-    return configs[best], rows
-
-
-def write_results_csv(rows: list[dict], path) -> None:
-    """Persist result rows as CSV (full float precision via repr)."""
-    if not rows:
-        raise ValueError("no result rows to write")
-    fields = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in (row[f] for f in fields)])

@@ -12,12 +12,14 @@ import math
 import numpy as np
 import pytest
 
+from icuxai import attribution
 from icuxai import autodiff as ad
 from icuxai.autodiff import Tape
 from icuxai.attribution import (
     CSV_HEADER,
     EXPLAINER_KINDS,
     AttributionReport,
+    Explainer,
     aggregate_feature_attributions,
     attention_last,
     attention_rollout,
@@ -564,6 +566,29 @@ def test_explain_dispatcher_matches_direct_call(model):
     assert via_dispatch.events.tolist() == direct.events.tolist()
     with pytest.raises(ValueError, match="unknown explainer"):
         explain("shap", model, rec)
+
+
+@pytest.mark.parametrize("kind, name, options, args, kwargs", [
+    ("random", "random_attribution", {"seed": 4}, (4,), {}),
+    ("attention-last", "attention_last", {}, (), {}),
+    ("attention-rollout", "attention_rollout", {}, (), {}),
+    ("integrated-gradients", "integrated_gradients", {"steps": 3}, (3,), {}),
+    ("lrp-epsilon", "epsilon_lrp", {"eps": 0.5}, (0.5,), {}),
+    ("lrptrans", "gi_attribute", {}, (), {"mode": "attribution"}),
+])
+def test_explainer_looks_its_function_up_when_called(monkeypatch, kind, name,
+                                                     options, args, kwargs):
+    """A wrapper installed on the module after import sees every call."""
+    calls = []
+    monkeypatch.setattr(attribution, name,
+                        lambda *a, **k: calls.append((a, k)) or "report")
+    assert Explainer(kind, "model", **options).explain("record", 0) == "report"
+    assert calls == [(("model", "record", 0, *args), kwargs)]
+
+
+def test_explainer_kinds_keep_their_order():
+    assert EXPLAINER_KINDS == ("random", "attention-last", "attention-rollout",
+                               "integrated-gradients", "lrp-epsilon", "lrptrans")
 
 
 # --- report serialization ------------------------------------------------------------

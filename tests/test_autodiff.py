@@ -12,7 +12,6 @@ from icuxai.autodiff import (
     Tape,
     TapeError,
     backward,
-    forward_primitive,
     grad_check,
 )
 
@@ -34,16 +33,6 @@ def test_primitive_registry_is_complete():
         "broadcast", "gather-rows", "detach",
     }
     assert set(ad.PRIMITIVE_KINDS) == expected
-
-
-def test_forward_primitive_dispatch_and_unknown_kind():
-    t = Tape()
-    a = t.leaf([1.0, 2.0])
-    b = t.leaf([3.0, 4.0])
-    out = forward_primitive("add", a, b)
-    assert np.array_equal(out.data, [4.0, 6.0])
-    with pytest.raises(ValueError, match="unknown primitive"):
-        forward_primitive("transmogrify", a)
 
 
 def test_basic_arithmetic_values():

@@ -185,6 +185,10 @@ def test_data_errors_exit_2(workdir, tmp_path):
     assert run(["explain", "--checkpoint", str(workdir / "model.npz"),
                 "--data", str(workdir / "data.npz"), "--out", str(tmp_path),
                 "--ids", "no-such-record"]) == 2
+    events = [json.loads(line)
+              for line in (tmp_path / "log.jsonl").read_text().splitlines()]
+    assert [(e["command"], e["exit"]) for e in events if e["event"] == "error"] \
+        == [("train", 2), ("eval", 2), ("explain", 2)]
 
 
 def test_numerical_errors_exit_3(workdir, tmp_path, monkeypatch, capsys):
@@ -224,6 +228,10 @@ def test_non_finite_training_gradient_exits_3(workdir, tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.splitlines() == [
         "numerical error: epoch 0: non-finite gradient for parameter 'events.in_proj.w'"]
+    last = json.loads((tmp_path / "log.jsonl").read_text().splitlines()[-1])
+    assert last == {"event": "error", "command": "train", "exit": 3,
+                    "message": "epoch 0: non-finite gradient for parameter "
+                               "'events.in_proj.w'"}
 
 
 def test_help_and_version_exit_0(capsys):
@@ -260,6 +268,7 @@ def test_config_file_rejects_unknown_and_bad_values(tmp_path):
 
     assert run(["synth", "--out", out,
                 "--config", str(tmp_path / "ghost.ini")]) == 2
+    assert not (tmp_path / "run").exists()  # no directory made just to log in
 
 
 def test_derive_seed_is_stable_and_label_separated():

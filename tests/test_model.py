@@ -16,15 +16,13 @@ from icuxai.blocks import Context
 from icuxai.errors import CheckpointError, SchemaError
 from icuxai.model import (
     ModelConfig,
-    Prediction,
     TriModalNet,
     load_checkpoint,
     model_config_for,
     save_checkpoint,
     softmax_probabilities,
 )
-from icuxai.records import (CLS_ID, PAD_ID, EventSequence, MultimodalDataset,
-                            NoteTokens, VitalSigns)
+from icuxai.records import CLS_ID, PAD_ID, MultimodalDataset
 
 SMALL = dict(width=8, heads=2, ffn_width=16, dropout=0.0,
              event_blocks=1, note_blocks=1, vitals_blocks=1,
@@ -47,6 +45,12 @@ def small_batch(n=3, seed=0):
     return events, notes, vitals
 
 
+def encode(model, modality, x):
+    """One record's representation vector from one modality's encoder."""
+    ctx = Context(tape=Tape(record=False), params=model.params)
+    return getattr(model, f"_{modality}_rep")(ctx, np.asarray(x)[None]).data[0]
+
+
 # --- shapes and basic contracts ----------------------------------------------
 
 def test_forward_logit_shape_and_probability_sum(small_model):
@@ -59,48 +63,35 @@ def test_forward_logit_shape_and_probability_sum(small_model):
 
 def test_encoders_return_width_vectors(small_model):
     events, notes, vitals = small_batch(1)
-    assert small_model.encode_events(events[0]).shape == (8,)
-    assert small_model.encode_notes(notes[0]).shape == (8,)
-    assert small_model.encode_vitals(vitals[0]).shape == (8,)
-
-
-def test_encoders_accept_record_dataclasses(small_model):
-    events, notes, vitals = small_batch(1)
-    e = EventSequence(events[0], np.ones_like(events[0]))
-    n = NoteTokens(notes[0])
-    v = VitalSigns(vitals[0])
-    np.testing.assert_array_equal(small_model.encode_events(e),
-                                  small_model.encode_events(events[0]))
-    np.testing.assert_array_equal(small_model.encode_notes(n),
-                                  small_model.encode_notes(notes[0]))
-    np.testing.assert_array_equal(small_model.encode_vitals(v),
-                                  small_model.encode_vitals(vitals[0]))
+    assert encode(small_model, "events", events[0]).shape == (8,)
+    assert encode(small_model, "notes", notes[0]).shape == (8,)
+    assert encode(small_model, "vitals", vitals[0]).shape == (8,)
 
 
 def test_events_encoder_accepts_any_positive_hour_count(small_model):
     for hours in (1, 2, 4):
-        vec = small_model.encode_events(np.zeros((hours, 5)))
+        vec = encode(small_model, "events", np.zeros((hours, 5)))
         assert vec.shape == (8,)
 
 
 def test_zero_length_sequences_are_rejected(small_model):
     with pytest.raises(SchemaError, match="hour"):
-        small_model.encode_events(np.zeros((0, 5)))
+        encode(small_model, "events", np.zeros((0, 5)))
     with pytest.raises(SchemaError, match="timestep"):
-        small_model.encode_vitals(np.zeros((0, 3)))
+        encode(small_model, "vitals", np.zeros((0, 3)))
 
 
 def test_unknown_token_id_is_rejected(small_model):
     ids = np.array([CLS_ID, 19, 20], dtype=np.int64)  # vocab_size = 20
     with pytest.raises(SchemaError, match="unknown token id"):
-        small_model.encode_notes(ids)
+        encode(small_model, "notes", ids)
 
 
 def test_note_longer_than_position_table_is_rejected(small_model):
     ids = np.full(9, PAD_ID, dtype=np.int64)  # note_len = 8
     ids[0] = CLS_ID
     with pytest.raises(ValueError, match="position table"):
-        small_model.encode_notes(ids)
+        encode(small_model, "notes", ids)
 
 
 # --- invariances ---------------------------------------------------------------
@@ -108,12 +99,12 @@ def test_note_longer_than_position_table_is_rejected(small_model):
 def test_appending_pads_never_changes_the_note_encoding(small_model):
     ids = np.array([CLS_ID, 5, 9], dtype=np.int64)
     padded = np.concatenate([ids, np.full(5, PAD_ID, dtype=np.int64)])
-    np.testing.assert_array_equal(small_model.encode_notes(ids),
-                                  small_model.encode_notes(padded))
+    np.testing.assert_array_equal(encode(small_model, "notes", ids),
+                                  encode(small_model, "notes", padded))
 
 
 def test_cls_only_note_encodes_to_a_valid_vector(small_model):
-    vec = small_model.encode_notes(np.array([CLS_ID], dtype=np.int64))
+    vec = encode(small_model, "notes", np.array([CLS_ID], dtype=np.int64))
     assert vec.shape == (8,) and np.all(np.isfinite(vec))
 
 
@@ -122,8 +113,8 @@ def test_swapping_two_distinct_hours_changes_the_event_encoding(small_model):
     events[1, 2] = 3.0  # distinct content in hours 1 and 3
     swapped = events.copy()
     swapped[[1, 3]] = swapped[[3, 1]]
-    a = small_model.encode_events(events)
-    b = small_model.encode_events(swapped)
+    a = encode(small_model, "events", events)
+    b = encode(small_model, "events", swapped)
     assert not np.allclose(a, b)
 
 
@@ -131,8 +122,8 @@ def test_perturbing_one_vitals_cell_changes_the_encoding(small_model):
     vitals = np.random.default_rng(5).normal(size=(6, 3))
     poked = vitals.copy()
     poked[2, 1] *= 2.0
-    assert not np.allclose(small_model.encode_vitals(vitals),
-                           small_model.encode_vitals(poked))
+    assert not np.allclose(encode(small_model, "vitals", vitals),
+                           encode(small_model, "vitals", poked))
 
 
 def test_modes_agree_on_every_record(small_model):
@@ -212,20 +203,19 @@ def test_equal_logits_give_even_probabilities():
     model = TriModalNet(ModelConfig(**SMALL))
     model.params["fusion.out.w"] = np.zeros((8, 2))
     model.params["fusion.out.b"] = np.array([3.0, 3.0])
-    pred = model.fuse_and_classify([np.ones(8), np.ones(8), np.ones(8)])
-    np.testing.assert_allclose(pred.probabilities, [0.5, 0.5], atol=1e-15)
+    ctx = Context(tape=Tape(record=False), params=model.params)
+    logits = model.forward(ctx, *small_batch(1)).data
+    np.testing.assert_allclose(softmax_probabilities(logits), [[0.5, 0.5]],
+                               atol=1e-15)
 
 
 def test_zeroing_two_modalities_changes_the_prediction(small_model):
     events, notes, vitals = small_batch(1)
-    reps = [small_model.encode_events(events[0]),
-            small_model.encode_notes(notes[0]),
-            small_model.encode_vitals(vitals[0])]
-    full = small_model.fuse_and_classify(reps)
-    ablated = small_model.fuse_and_classify(
-        [reps[0], np.zeros(8), np.zeros(8)])
-    assert full.death_probability != pytest.approx(ablated.death_probability, abs=1e-12)
-    assert abs(sum(ablated.probabilities) - 1.0) < 1e-9
+    full = small_model.predict_proba(events, notes, vitals)[0]
+    ablated = small_model.predict_proba(events, notes, vitals,
+                                        active=("events",))[0]
+    assert full[1] != pytest.approx(ablated[1], abs=1e-12)
+    assert abs(sum(ablated) - 1.0) < 1e-9
 
 
 def test_forward_with_inactive_modalities_matches_zeroed_reps(small_model):
@@ -233,10 +223,11 @@ def test_forward_with_inactive_modalities_matches_zeroed_reps(small_model):
     ctx = Context(tape=Tape(), params=small_model.params)
     only_events = small_model.forward(ctx, events, notes, vitals,
                                       active=("events",)).data
-    by_hand = np.stack([
-        small_model.fuse_and_classify(
-            [small_model.encode_events(events[i]), np.zeros(8), np.zeros(8)]).logits
-        for i in range(2)])
+    ctx = Context(tape=Tape(record=False), params=small_model.params)
+    fused = ad.concat([small_model._events_rep(ctx, events),
+                       ctx.tape.leaf(np.zeros((2, 16)))], axis=-1)
+    hidden = ad.relu(small_model.fusion_hidden.forward(ctx, fused))
+    by_hand = small_model.fusion_out.forward(ctx, hidden).data
     np.testing.assert_allclose(only_events, by_hand, atol=1e-12)
 
 
@@ -254,17 +245,6 @@ def test_mismatched_batch_sizes_are_rejected(small_model):
     ctx = Context(tape=Tape(), params=small_model.params)
     with pytest.raises(ValueError, match="batch sizes"):
         small_model.forward(ctx, events[:2], notes, vitals)
-
-
-def test_fuse_and_classify_validates_widths(small_model):
-    with pytest.raises(ValueError, match="width"):
-        small_model.fuse_and_classify([np.zeros(8), np.zeros(8), np.zeros(7)])
-
-
-def test_prediction_invariants_are_enforced():
-    with pytest.raises(ValueError, match="sum to 1"):
-        Prediction(logits=np.zeros(2), probabilities=np.array([0.7, 0.7]),
-                   death_probability=0.7)
 
 
 def test_softmax_probabilities_handles_extreme_logits():
@@ -427,18 +407,18 @@ def test_default_model_fixture_vectors_are_stable():
     must keep producing the same vectors run over run."""
     model = TriModalNet(ModelConfig(seed=0))
 
-    ev = model.encode_events(np.zeros((24, 76)))
+    ev = encode(model, "events", np.zeros((24, 76)))
     np.testing.assert_allclose(
         ev[:4], [-2.1511461, 0.93131004, -0.26707014, -0.23742264], atol=1e-6)
     assert float(np.linalg.norm(ev)) == pytest.approx(7.999970538778847, abs=1e-9)
 
-    vi = model.encode_vitals(np.zeros((480, 21)))
+    vi = encode(model, "vitals", np.zeros((480, 21)))
     np.testing.assert_allclose(
         vi[:4], [-2.29905618, 0.59539735, 0.23547217, 0.03670115], atol=1e-6)
     assert float(np.linalg.norm(vi)) == pytest.approx(7.999977591044746, abs=1e-9)
 
     ids = np.full(16, PAD_ID, dtype=np.int64)
     ids[0] = CLS_ID
-    no = model.encode_notes(ids)
+    no = encode(model, "notes", ids)
     np.testing.assert_allclose(
         no[:4], [-0.56157283, -0.38002821, -1.10497882, 0.23473314], atol=1e-6)

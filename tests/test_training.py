@@ -1,6 +1,5 @@
-"""Training-engine tests: loss, optimizer, schedule, splits, CV, grid search."""
+"""Training-engine tests: loss, optimizer, schedule, splits, CV."""
 
-import csv
 import math
 
 import numpy as np
@@ -16,14 +15,11 @@ from icuxai.training import (
     clip_global_norm,
     cross_entropy,
     cross_validate,
-    grid_search,
     lr_schedule,
     make_split_plan,
     train_model,
     upsample_positives,
-    validate_search_config,
     weighted_ce_from_logits,
-    write_results_csv,
 )
 
 
@@ -112,6 +108,19 @@ def test_adam_rejects_non_finite_gradients():
     store = make_store({"w": np.array([1.0])})
     with pytest.raises(NonFiniteError, match="non-finite gradient for parameter 'w'"):
         Adam().step(store, {"w": np.array([np.inf])}, lr=0.1)
+
+
+def test_adam_failed_step_changes_nothing():
+    store = make_store({"a": np.array([1.0]), "b": np.array([2.0])})
+    opt = Adam()
+    opt.step(store, {"a": np.array([0.3]), "b": np.array([-0.2])}, lr=0.1)
+    snapshot = [{k: d[k].copy() for k in ("a", "b")} for d in (store, opt.m, opt.v)]
+    with pytest.raises(NonFiniteError, match="parameter 'b'"):
+        opt.step(store, {"a": np.array([0.5]), "b": np.array([np.inf])}, lr=0.1)
+    assert opt.t == 1
+    for was, now in zip(snapshot, (store, opt.m, opt.v)):
+        for k in ("a", "b"):
+            np.testing.assert_array_equal(now[k], was[k])
 
 
 def test_adam_trajectories_are_deterministic():
@@ -313,80 +322,6 @@ def test_cross_validate_reports_per_fold_metrics():
     for r in rows:
         assert 0.0 <= r["auc_roc"] <= 1.0
         assert 0.0 <= r["auc_pr"] <= 1.0
-
-
-# --- grid search ----------------------------------------------------------------------
-
-def test_validate_search_config_enforces_table_ranges():
-    ok = TrainConfig(batch_size=16, learning_rate=5e-4, dropout=0.3,
-                     encoder_blocks=2, heads=4, class_weight=2.0)
-    validate_search_config(ok, "vitals")
-    with pytest.raises(ValueError, match="batch_size"):
-        validate_search_config(ok, "events")  # events want 128/256/512
-    with pytest.raises(ValueError, match="learning_rate"):
-        validate_search_config(
-            TrainConfig(batch_size=16, learning_rate=5e-4, dropout=0.3,
-                        encoder_blocks=6, heads=4), "notes")
-    with pytest.raises(ValueError, match="encoder_blocks"):
-        validate_search_config(
-            TrainConfig(batch_size=16, learning_rate=5e-5, dropout=0.3,
-                        encoder_blocks=2, heads=4), "notes")  # notes want 5-10
-    with pytest.raises(ValueError, match="unknown modality"):
-        validate_search_config(ok, "imaging")
-
-
-def test_grid_search_picks_deterministic_winner(tmp_path):
-    ds = separable_dataset(n=30, seed=5)
-    plan = make_split_plan(ds.labels, k=2, seed=0)
-    configs = [
-        TrainConfig(batch_size=16, learning_rate=1e-2, epochs=3, upsample=False,
-                    seed=0, heads=2, encoder_blocks=1, dropout=0.0),
-        TrainConfig(batch_size=16, learning_rate=1e-7, epochs=3, upsample=False,
-                    seed=0, heads=2, encoder_blocks=1, dropout=0.0),
-    ]
-
-    def build(cfg):
-        return TriModalNet(ModelConfig(**{**TINY, "heads": cfg.heads,
-                                          "dropout": cfg.dropout}, seed=5))
-
-    csv_path = tmp_path / "grid.csv"
-    best1, rows = grid_search(ds, configs, build, plan, csv_path=csv_path)
-    best2, _ = grid_search(ds, configs, build, plan)
-    assert best1 == best2
-    assert len(rows) == len(configs) * plan.k
-    with open(csv_path) as fh:
-        parsed = list(csv.DictReader(fh))
-    assert len(parsed) == len(rows)
-    assert float(parsed[0]["auc_roc"]) == rows[0]["auc_roc"]
-
-
-def test_grid_search_single_config_returns_it():
-    ds = separable_dataset(n=20, seed=6)
-    plan = make_split_plan(ds.labels, k=2, seed=0)
-    only = TrainConfig(batch_size=16, learning_rate=1e-3, epochs=2,
-                       upsample=False, seed=0, heads=2, encoder_blocks=1,
-                       dropout=0.0)
-    best, rows = grid_search(ds, [only], lambda cfg: TriModalNet(
-        ModelConfig(**TINY, seed=6)), plan)
-    assert best == only
-    assert len(rows) == 2
-
-
-def test_grid_search_empty_space_is_an_error():
-    ds = separable_dataset(n=20, seed=7)
-    plan = make_split_plan(ds.labels, k=2, seed=0)
-    with pytest.raises(ValueError, match="empty"):
-        grid_search(ds, [], lambda cfg: None, plan)
-
-
-def test_write_results_csv_round_trips_floats_exactly(tmp_path):
-    rows = [{"fold": 0, "auc_roc": 1 / 3, "auc_pr": 2 / 7}]
-    path = tmp_path / "r.csv"
-    write_results_csv(rows, path)
-    with open(path) as fh:
-        back = list(csv.DictReader(fh))
-    assert float(back[0]["auc_roc"]) == 1 / 3
-    assert float(back[0]["auc_pr"]) == 2 / 7
 
 
 def test_train_config_validation():
