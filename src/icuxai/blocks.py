@@ -60,9 +60,6 @@ class ParamStore:
     def items(self):
         return self._arrays.items()
 
-    def n_values(self) -> int:
-        return sum(a.size for a in self._arrays.values())
-
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self._arrays.items()}
 

@@ -1,11 +1,23 @@
 """The ``icuxai`` command line: generate/preprocess -> train -> eval ->
 explain -> perturb -> report.
 
-Every subcommand writes into a run directory: its artifacts, an appended
-``log.jsonl`` of structured events, and a ``manifest.json`` entry
-(resolved options + seed + package version) sufficient to re-execute the
-run. Options resolve flag > INI config section > built-in default, where
-the INI section is named after the subcommand::
+Every subcommand but ``report`` writes into a run directory: its
+artifacts, an appended ``log.jsonl`` of structured events, and a
+``manifest.json`` entry per subcommand (resolved ``options``, ``inputs`` as
+given on the command line, ``seed`` and package ``version``) sufficient to
+re-execute the run. Artifacts and the manifest are written atomically.
+Every ``log.jsonl`` line is a JSON object with an ``event`` key:
+
+* ``start``: ``command``, ``options``, ``inputs``;
+* progress events: ``epoch`` (train; ``epoch``, ``loss``, ``lr``,
+  ``val_auc``), ``metrics`` (eval), ``explained`` (explain),
+  ``perturbation-curve`` (perturb), ``unmatched-stays`` and
+  ``rejected-stays`` (preprocess);
+* ``done``: ``command``, ``elapsed_s`` and the subcommand's counts;
+* ``error``: ``command``, ``exit``, ``message``, in place of ``done``.
+
+Options resolve flag > INI config section > built-in default, where the INI
+section is named after the subcommand::
 
     [train]
     epochs = 40
@@ -32,6 +44,7 @@ import sys
 import time
 import zlib
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,10 +53,10 @@ from .attribution import (CSV_HEADER, EXPLAINER_KINDS,
                           aggregate_feature_attributions, make_explainer)
 from .autodiff import NonFiniteError
 from .errors import DataError
+from .fileio import atomic_open
 from .metrics import auc_pr, auc_roc
 from .model import TriModalNet, load_checkpoint, model_config_for, save_checkpoint
-from .perturbation import compare_explainers, plot_table, write_curves_csv, \
-    write_summary_csv
+from .perturbation import compare_explainers, plot_table
 from .preprocess import NormalValueTable, build_dataset
 from .records import MODALITIES, MultimodalDataset
 from .synthetic import SyntheticSpec, generate_synthetic, ground_truth_json
@@ -73,12 +86,6 @@ def _json_safe(value):
     raise TypeError(f"{type(value).__name__} is not JSON-serializable")
 
 
-def _run_dir(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _logger(out: Path):
     path = out / "log.jsonl"
 
@@ -89,22 +96,28 @@ def _logger(out: Path):
     return log
 
 
-def _manifest(out: Path, command: str, options: dict, seed: int) -> None:
+def _manifest(out: Path, command: str, options: dict, inputs: dict) -> None:
     path = out / "manifest.json"
     manifest = json.loads(path.read_text()) if path.exists() else {}
-    manifest[command] = {"options": options, "seed": int(seed),
-                         "version": __version__}
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True,
-                               default=_json_safe) + "\n")
+    manifest[command] = {"options": options, "inputs": inputs,
+                         "seed": int(options["seed"]), "version": __version__}
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True,
+                                 default=_json_safe) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    with atomic_open(path) as handle:
+        handle.write(text)
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as handle:
+    """Floats are written as ``repr(float(v))``, which reads back exactly."""
+    with atomic_open(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v
-                             for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
+                             else v for v in row])
 
 
 def _default_inside(path, filename: str) -> Path:
@@ -261,10 +274,7 @@ SYNTH_OPTIONS = {
 }
 
 
-def cmd_synth(args) -> None:
-    opts = resolve_options(args, SYNTH_OPTIONS)
-    out = _run_dir(args.out)
-    log = _logger(out)
+def cmd_synth(args, opts, out, log):
     spec = SyntheticSpec(
         n_records=opts["records"], positive_rate=opts["positive-rate"],
         noise_rate=opts["noise-rate"], complementary=opts["complementary"],
@@ -276,17 +286,13 @@ def cmd_synth(args) -> None:
         event_threshold=opts["event-threshold"], token_id=opts["token-id"],
         vitals_channel=opts["vitals-channel"],
         vitals_amplitude=opts["vitals-amplitude"])
-    log({"event": "start", "command": "synth", "options": opts})
-    started = time.perf_counter()
     ds, truth = generate_synthetic(spec, seed=opts["seed"])
     ds.save(out / "data.npz")
-    (out / "ground_truth.json").write_text(ground_truth_json(truth))
-    _manifest(out, "synth", opts, opts["seed"])
-    log({"event": "done", "command": "synth", "records": len(ds),
-         "positives": int(ds.labels.sum()),
-         "elapsed_s": time.perf_counter() - started})
-    print(f"wrote {out / 'data.npz'} ({len(ds)} records, "
-          f"{int(ds.labels.sum())} positive) and ground_truth.json")
+    _write_text(out / "ground_truth.json", ground_truth_json(truth))
+    positives = int(ds.labels.sum())
+    return ({"records": len(ds), "positives": positives},
+            f"wrote {out / 'data.npz'} ({len(ds)} records, "
+            f"{positives} positive) and ground_truth.json")
 
 
 PREPROCESS_OPTIONS = {
@@ -300,18 +306,12 @@ PREPROCESS_OPTIONS = {
 }
 
 
-def cmd_preprocess(args) -> None:
-    opts = resolve_options(args, PREPROCESS_OPTIONS)
-    out = _run_dir(args.out)
-    log = _logger(out)
+def cmd_preprocess(args, opts, out, log):
     table = NormalValueTable.load(args.normal_values) \
         if args.normal_values else None
     test_frac = 1.0 - opts["train-frac"] - opts["val-frac"]
     if test_frac <= 0:
         raise UsageError("--train-frac and --val-frac leave no test data")
-    log({"event": "start", "command": "preprocess",
-         "options": {**opts, "events": str(args.events)}})
-    started = time.perf_counter()
     ds = build_dataset(
         args.events, args.notes, args.vitals, args.labels, table=table,
         seed=opts["seed"],
@@ -319,13 +319,10 @@ def cmd_preprocess(args) -> None:
         max_words=opts["max-words"], min_count=opts["min-count"],
         hours=opts["hours"], steps=opts["steps"], log_fn=log)
     ds.save(out / "data.npz")
-    _manifest(out, "preprocess", opts, opts["seed"])
-    log({"event": "done", "command": "preprocess", "records": len(ds),
-         "rejected": len(ds.meta.get("rejected", [])),
-         "vocab": len(ds.meta.get("vocab", {})),
-         "elapsed_s": time.perf_counter() - started})
-    print(f"wrote {out / 'data.npz'} ({len(ds)} records, "
-          f"{len(ds.meta.get('rejected', []))} rejected)")
+    rejected = len(ds.meta.get("rejected", []))
+    return ({"records": len(ds), "rejected": rejected,
+             "vocab": len(ds.meta.get("vocab", {})), "events": str(args.events)},
+            f"wrote {out / 'data.npz'} ({len(ds)} records, {rejected} rejected)")
 
 
 TRAIN_OPTIONS = {
@@ -350,10 +347,7 @@ TRAIN_OPTIONS = {
 }
 
 
-def cmd_train(args) -> None:
-    opts = resolve_options(args, TRAIN_OPTIONS)
-    out = _run_dir(args.out)
-    log = _logger(out)
+def cmd_train(args, opts, out, log):
     ds = _load_dataset(args.data)
     active = _parse_active(opts["active"])
     seed = opts["seed"]
@@ -380,10 +374,6 @@ def cmd_train(args) -> None:
         upsample=opts["upsample"], patience=opts["patience"],
         clip_norm=opts["clip-norm"])
 
-    log({"event": "start", "command": "train", "options": opts,
-         "records": len(ds), "split_sizes": {k: len(v)
-                                             for k, v in split.items()}})
-    started = time.perf_counter()
     model = TriModalNet(config)
     result = train_model(model, ds, train_config, train_idx=train_idx,
                          val_idx=val_idx, active=active, log_fn=log)
@@ -398,14 +388,14 @@ def cmd_train(args) -> None:
     _write_csv(out / "history.csv", ("epoch", "loss", "lr", "val_auc"),
                [(h["epoch"], h["loss"], h["lr"], h.get("val_auc", ""))
                 for h in result.history])
-    _manifest(out, "train", opts, seed)
-    log({"event": "done", "command": "train", "epochs": len(result.history),
-         "best_epoch": result.best_epoch, "best_val_auc": result.best_val_auc,
-         "stopped_early": result.stopped_early,
-         "elapsed_s": time.perf_counter() - started})
-    print(f"wrote {out / 'model.npz'} "
-          f"(best epoch {result.best_epoch}, "
-          f"val AUC {result.best_val_auc if result.best_val_auc is not None else 'n/a'})")
+    return ({"records": len(ds),
+             "split_sizes": {k: len(v) for k, v in split.items()},
+             "epochs": len(result.history), "best_epoch": result.best_epoch,
+             "best_val_auc": result.best_val_auc,
+             "stopped_early": result.stopped_early},
+            f"wrote {out / 'model.npz'} "
+            f"(best epoch {result.best_epoch}, "
+            f"val AUC {result.best_val_auc if result.best_val_auc is not None else 'n/a'})")
 
 
 EVAL_OPTIONS = {
@@ -414,10 +404,7 @@ EVAL_OPTIONS = {
 }
 
 
-def cmd_eval(args) -> None:
-    opts = resolve_options(args, EVAL_OPTIONS)
-    out = _run_dir(args.out)
-    log = _logger(out)
+def cmd_eval(args, opts, out, log):
     model, meta = _load_model(args.checkpoint)
     ds = _load_dataset(args.data)
     wanted = opts["split"]
@@ -433,7 +420,6 @@ def cmd_eval(args) -> None:
             raise DataError("checkpoint stores no train/val/test split; "
                             "evaluate with --split all")
         parts = [(wanted, _ids_to_idx(ds, stored[wanted], f"{wanted} split"))]
-    log({"event": "start", "command": "eval", "options": opts})
     rows = []
     for name, idx in parts:
         if idx.size == 0:
@@ -447,9 +433,8 @@ def cmd_eval(args) -> None:
              "auc_roc": rows[-1][3], "auc_pr": rows[-1][4]})
     _write_csv(out / "metrics.csv",
                ("split", "n", "positives", "auc_roc", "auc_pr"), rows)
-    _manifest(out, "eval", opts, opts["seed"])
-    for name, n, pos, roc, pr in rows:
-        print(f"{name}: n={n} positives={pos} auc_roc={roc:.4f} auc_pr={pr:.4f}")
+    return {}, "\n".join(f"{name}: n={n} positives={pos} auc_roc={roc:.4f} "
+                         f"auc_pr={pr:.4f}" for name, n, pos, roc, pr in rows)
 
 
 EXPLAIN_OPTIONS = {
@@ -463,6 +448,8 @@ EXPLAIN_OPTIONS = {
 
 
 def _picked_records(ds, meta, args, budget: int) -> list[int]:
+    if budget < 1:
+        raise UsageError(f"--records must be at least 1, got {budget}")
     if args.ids:
         ids = [part.strip() for part in args.ids.split(",") if part.strip()]
         return list(_ids_to_idx(ds, ids, "--ids"))
@@ -474,19 +461,13 @@ def _picked_records(ds, meta, args, budget: int) -> list[int]:
     return list(idx[:budget])
 
 
-def cmd_explain(args) -> None:
-    opts = resolve_options(args, EXPLAIN_OPTIONS)
-    out = _run_dir(args.out)
-    log = _logger(out)
+def cmd_explain(args, opts, out, log):
     model, meta = _load_model(args.checkpoint)
     ds = _load_dataset(args.data)
     kinds = _parse_kinds(opts["kinds"])
     picked = _picked_records(ds, meta, args, opts["records"])
     if not picked:
         raise DataError("no records selected to explain")
-    log({"event": "start", "command": "explain", "options": opts,
-         "records": len(picked)})
-    started = time.perf_counter()
     names = ds.meta.get("event_names")
     channels = ds.meta.get("channel_names")
     vocab = ds.meta.get("vocab")
@@ -504,15 +485,13 @@ def cmd_explain(args) -> None:
         ranking = aggregate_feature_attributions(
             reports, event_names=names, channel_names=channels, vocab=vocab,
             min_token_count=opts["min-token-count"])
-        (out / f"aggregate_{kind}.json").write_text(
-            json.dumps(ranking, indent=2, sort_keys=True) + "\n")
+        _write_text(out / f"aggregate_{kind}.json",
+                    json.dumps(ranking, indent=2, sort_keys=True) + "\n")
         log({"event": "explained", "explainer": kind,
              "records": len(reports)})
-    _manifest(out, "explain", opts, opts["seed"])
-    log({"event": "done", "command": "explain",
-         "elapsed_s": time.perf_counter() - started})
-    print(f"wrote attributions_*.csv and aggregate_*.json for "
-          f"{', '.join(kinds)} ({len(picked)} records)")
+    return ({"records": len(picked)},
+            f"wrote attributions_*.csv and aggregate_*.json for "
+            f"{', '.join(kinds)} ({len(picked)} records)")
 
 
 PERTURB_OPTIONS = {
@@ -524,10 +503,7 @@ PERTURB_OPTIONS = {
 }
 
 
-def cmd_perturb(args) -> None:
-    opts = resolve_options(args, PERTURB_OPTIONS)
-    out = _run_dir(args.out)
-    log = _logger(out)
+def cmd_perturb(args, opts, out, log):
     model, meta = _load_model(args.checkpoint)
     ds = _load_dataset(args.data)
     kinds = _parse_kinds(opts["explainers"])
@@ -539,20 +515,17 @@ def cmd_perturb(args) -> None:
     if len(set(subset.labels.tolist())) < 2:
         raise DataError("perturbation needs both classes among the selected "
                         "records; widen --records or pass --ids")
-    log({"event": "start", "command": "perturb", "options": opts,
-         "records": len(subset)})
-    started = time.perf_counter()
     curves = compare_explainers(
         model, subset, kinds=kinds, seed=derive_seed(opts["seed"], "perturb"),
         order=opts["order"], steps=opts["steps"], log_fn=log)
-    write_curves_csv(curves, out / "curves.csv")
-    write_summary_csv(curves, out / "au_summary.csv")
-    (out / "curves.txt").write_text(plot_table(curves) + "\n")
-    _manifest(out, "perturb", opts, opts["seed"])
-    log({"event": "done", "command": "perturb",
-         "elapsed_s": time.perf_counter() - started})
-    for curve in curves:
-        print(f"{curve.explainer}: AU {curve.au:.4f}")
+    _write_csv(out / "curves.csv", ("explainer", "fraction", "auc_roc"),
+               [(c.explainer, f, a) for c in curves
+                for f, a in zip(c.fractions, c.auc_roc)])
+    _write_csv(out / "au_summary.csv", ("explainer", "au"),
+               [(c.explainer, c.au) for c in curves])
+    _write_text(out / "curves.txt", plot_table(curves) + "\n")
+    return ({"records": len(subset)},
+            "\n".join(f"{c.explainer}: AU {c.au:.4f}" for c in curves))
 
 
 def _require(path: Path, producer: str) -> Path:
@@ -581,13 +554,15 @@ def _fmt(raw: str, digits: int = 4) -> str:
         return str(raw)
 
 
-def cmd_report(args) -> None:
+def cmd_report(args) -> str:
+    if args.top_k < 0 or args.heat_records < 0:
+        raise UsageError("--top-k and --heat-records must not be negative")
     run = Path(args.run)
     if not run.is_dir():
         raise DataError(f"run directory {run} does not exist")
     metrics = _read_csv(_require(run / "metrics.csv", "eval"))
     summary = _read_csv(_require(run / "au_summary.csv", "perturb"))
-    curves = _read_csv(_require(run / "curves.csv", "perturb"))
+    curves = _require(run / "curves.txt", "perturb").read_text()
     aggregates = sorted(run.glob("aggregate_*.json"))
     if not aggregates:
         raise DataError(f"report needs {run / 'aggregate_<kind>.json'}, which "
@@ -617,21 +592,7 @@ def cmd_report(args) -> None:
     ranked = sorted(summary, key=lambda r: -float(r["au"]))
     lines += _md_table(("explainer", "AU"),
                        [(r["explainer"], _fmt(r["au"])) for r in ranked])
-    lines += ["", "```"]
-    by_explainer: dict[str, list[tuple[float, float]]] = {}
-    for row in curves:
-        by_explainer.setdefault(row["explainer"], []).append(
-            (float(row["fraction"]), float(row["auc_roc"])))
-    fractions = sorted({f for pts in by_explainer.values() for f, _ in pts})
-    kinds = list(by_explainer)
-    lines.append("fraction " + " ".join(kinds))
-    for f in fractions:
-        cells = [f"{f:.3f}"]
-        for kind in kinds:
-            match = [v for ff, v in by_explainer[kind] if ff == f]
-            cells.append(f"{match[0]:.6f}" if match else "-")
-        lines.append(" ".join(cells))
-    lines += ["```", ""]
+    lines += ["", "```", curves.strip("\n"), "```", ""]
 
     top_k = args.top_k
     for path in aggregates:
@@ -675,8 +636,8 @@ def cmd_report(args) -> None:
             lines.append("")
 
     out = Path(args.out) if args.out else run / "report.md"
-    out.write_text("\n".join(lines).rstrip() + "\n")
-    print(f"wrote {out}")
+    _write_text(out, "\n".join(lines).rstrip() + "\n")
+    return f"wrote {out}"
 
 
 # --- parser --------------------------------------------------------------------------
@@ -695,6 +656,72 @@ def _add_option_flags(parser, spec: dict[str, tuple]) -> None:
                                 help=f"(default {default})")
 
 
+# The command-line arguments that are not resolved options: paths, record
+# ids and report settings. Each subcommand picks its own from this table.
+ARGUMENTS = {
+    "events": (("--events",), {"required": True, "help": "events CSV"}),
+    "notes": (("--notes",), {"required": True, "help": "notes JSONL"}),
+    "vitals": (("--vitals",), {"required": True, "help": "vitals CSV"}),
+    "labels": (("--labels",), {"required": True, "help": "labels CSV"}),
+    "checkpoint": (("--checkpoint", "--model"),
+                   {"dest": "checkpoint", "required": True,
+                    "help": "model.npz or its run directory"}),
+    "data": (("--data",), {"required": True,
+                           "help": "dataset .npz or its run directory"}),
+    "out": (("--out",), {"required": True, "help": "run directory"}),
+    "ids": (("--ids",), {"help": "comma-separated record ids (default: "
+                                 "first --records of the test split)"}),
+    "normal-values": (("--normal-values",),
+                      {"help": "override the packaged normal-value table "
+                               "(JSON)"}),
+    "config": (("--config",), {"help": "INI file whose section named after "
+                                       "the subcommand sets options"}),
+    "run": (("--run",), {"required": True, "help": "directory holding eval/"
+                                                   "explain/perturb outputs"}),
+    "report-out": (("--out",), {"help": "report path (default RUN/report.md)"}),
+    "top-k": (("--top-k",), {"type": int, "default": 10}),
+    "heat-records": (("--heat-records",), {"type": int, "default": 3}),
+}
+
+
+def _dest(name: str) -> str:
+    flags, kwargs = ARGUMENTS[name]
+    return kwargs.get("dest", flags[0].lstrip("-").replace("-", "_"))
+
+
+class Command(NamedTuple):
+    """A run-directory subcommand's ``handler(args, opts, out, log)``
+    returns its ``done`` event fields and its stdout text; ``report``
+    (``options`` None) takes ``args`` alone and returns its stdout text."""
+    handler: Callable
+    help: str
+    options: dict | None
+    arguments: tuple[str, ...]
+
+
+COMMANDS = {
+    "synth": Command(cmd_synth, "generate a synthetic cohort with planted "
+                                "signals", SYNTH_OPTIONS, ("out", "config")),
+    "preprocess": Command(cmd_preprocess, "build a dataset from raw CSV/JSONL "
+                                          "exports", PREPROCESS_OPTIONS,
+                          ("events", "notes", "vitals", "labels", "out",
+                           "normal-values", "config")),
+    "train": Command(cmd_train, "train the tri-modal classifier",
+                     TRAIN_OPTIONS, ("data", "out", "config")),
+    "eval": Command(cmd_eval, "compute AUC-ROC / AUC-PR for a checkpoint",
+                    EVAL_OPTIONS, ("checkpoint", "data", "out", "config")),
+    "explain": Command(cmd_explain, "attribute predictions to inputs",
+                       EXPLAIN_OPTIONS,
+                       ("checkpoint", "data", "out", "ids", "config")),
+    "perturb": Command(cmd_perturb, "deletion-curve faithfulness comparison "
+                                    "of explainers", PERTURB_OPTIONS,
+                       ("checkpoint", "data", "out", "ids", "config")),
+    "report": Command(cmd_report, "render a markdown summary of a run "
+                                  "directory", None,
+                      ("run", "report-out", "top-k", "heat-records")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icuxai",
@@ -704,77 +731,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    synth = sub.add_parser("synth", help="generate a synthetic cohort with "
-                                         "planted signals")
-    synth.add_argument("--out", required=True, help="run directory")
-    synth.add_argument("--config", help="INI file with a [synth] section")
-    _add_option_flags(synth, SYNTH_OPTIONS)
-    synth.set_defaults(handler=cmd_synth)
-
-    pre = sub.add_parser("preprocess", help="build a dataset from raw "
-                                            "CSV/JSONL exports")
-    pre.add_argument("--events", required=True, help="events CSV")
-    pre.add_argument("--notes", required=True, help="notes JSONL")
-    pre.add_argument("--vitals", required=True, help="vitals CSV")
-    pre.add_argument("--labels", required=True, help="labels CSV")
-    pre.add_argument("--out", required=True, help="run directory")
-    pre.add_argument("--normal-values", help="override the packaged "
-                                             "normal-value table (JSON)")
-    pre.add_argument("--config", help="INI file with a [preprocess] section")
-    _add_option_flags(pre, PREPROCESS_OPTIONS)
-    pre.set_defaults(handler=cmd_preprocess)
-
-    train = sub.add_parser("train", help="train the tri-modal classifier")
-    train.add_argument("--data", required=True, help="dataset file (.npz)")
-    train.add_argument("--out", required=True, help="run directory")
-    train.add_argument("--config", help="INI file with a [train] section")
-    _add_option_flags(train, TRAIN_OPTIONS)
-    train.set_defaults(handler=cmd_train)
-
-    ev = sub.add_parser("eval", help="compute AUC-ROC / AUC-PR for a "
-                                     "checkpoint")
-    ev.add_argument("--checkpoint", "--model", dest="checkpoint",
-                required=True, help="model.npz or its run directory")
-    ev.add_argument("--data", required=True,
-                help="dataset .npz or its run directory")
-    ev.add_argument("--out", required=True, help="run directory")
-    ev.add_argument("--config", help="INI file with an [eval] section")
-    _add_option_flags(ev, EVAL_OPTIONS)
-    ev.set_defaults(handler=cmd_eval)
-
-    ex = sub.add_parser("explain", help="attribute predictions to inputs")
-    ex.add_argument("--checkpoint", "--model", dest="checkpoint",
-                required=True, help="model.npz or its run directory")
-    ex.add_argument("--data", required=True,
-                help="dataset .npz or its run directory")
-    ex.add_argument("--out", required=True, help="run directory")
-    ex.add_argument("--ids", help="comma-separated record ids (default: "
-                                  "first --records of the test split)")
-    ex.add_argument("--config", help="INI file with an [explain] section")
-    _add_option_flags(ex, EXPLAIN_OPTIONS)
-    ex.set_defaults(handler=cmd_explain)
-
-    pt = sub.add_parser("perturb", help="deletion-curve faithfulness "
-                                        "comparison of explainers")
-    pt.add_argument("--checkpoint", "--model", dest="checkpoint",
-                required=True, help="model.npz or its run directory")
-    pt.add_argument("--data", required=True,
-                help="dataset .npz or its run directory")
-    pt.add_argument("--out", required=True, help="run directory")
-    pt.add_argument("--ids", help="comma-separated record ids")
-    pt.add_argument("--config", help="INI file with a [perturb] section")
-    _add_option_flags(pt, PERTURB_OPTIONS)
-    pt.set_defaults(handler=cmd_perturb)
-
-    rp = sub.add_parser("report", help="render a markdown summary of a run "
-                                       "directory")
-    rp.add_argument("--run", required=True, help="directory holding eval/"
-                                                 "explain/perturb outputs")
-    rp.add_argument("--out", help="report path (default RUN/report.md)")
-    rp.add_argument("--top-k", type=int, default=10)
-    rp.add_argument("--heat-records", type=int, default=3)
-    rp.set_defaults(handler=cmd_report)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for arg in command.arguments:
+            flags, kwargs = ARGUMENTS[arg]
+            cmd.add_argument(*flags, **kwargs)
+        if command.options is not None:
+            _add_option_flags(cmd, command.options)
     return parser
 
 
@@ -784,8 +747,24 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    command = COMMANDS[args.command]
+    log = None if command.options is None else _logger(Path(args.out))
     try:
-        args.handler(args)
+        if log is None:
+            print(command.handler(args))
+            return 0
+        opts = resolve_options(args, command.options)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        inputs = {arg: getattr(args, _dest(arg)) for arg in command.arguments}
+        log({"event": "start", "command": args.command, "options": opts,
+             "inputs": inputs})
+        started = time.perf_counter()
+        fields, text = command.handler(args, opts, out, log)
+        _manifest(out, args.command, opts, inputs)
+        log({"event": "done", "command": args.command,
+             "elapsed_s": time.perf_counter() - started, **fields})
+        print(text)
         return 0
     except (DataError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError) as e:
@@ -795,17 +774,11 @@ def run(argv=None) -> int:
     except NonFiniteError as e:
         code, prefix, error = 3, "numerical error", e
     print(f"{prefix}: {error}", file=sys.stderr)
-    _log_error(args, code, error)
+    # An error before the run directory exists makes none just to log in.
+    if log is not None and Path(args.out).is_dir():
+        log({"event": "error", "command": args.command, "exit": code,
+             "message": str(error)})
     return code
-
-
-def _log_error(args, code: int, error: Exception) -> None:
-    """Append an error event to the run directory's log, if that
-    directory exists; ``report`` writes a file, not a run directory."""
-    if args.command == "report" or not Path(args.out).is_dir():
-        return
-    _logger(Path(args.out))({"event": "error", "command": args.command,
-                             "exit": code, "message": str(error)})
 
 
 def entry() -> None:

@@ -16,14 +16,17 @@ Writes are deterministic: arrays are emitted in sorted name order and
 the header is serialized with sorted keys and fixed separators, so the
 same content always produces the same bytes. (A zip-based format was
 rejected for exactly this reason — member timestamps make archives
-non-reproducible.)
+non-reproducible.) Writes are also atomic: see :func:`atomic_open`.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -34,6 +37,24 @@ FORMAT_VERSION = 1
 
 _HEADER_LEN = struct.Struct("<Q")
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` for writing. A clean exit
+    syncs it and renames it over ``path``; an error removes it, so
+    ``path`` holds either its old content or the complete new one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _wire_dtype(arr: np.ndarray) -> str:
@@ -66,7 +87,7 @@ def save_container(path, arrays: dict[str, np.ndarray], meta: dict | None = None
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER_LEN.pack(len(blob)))
         fh.write(blob)

@@ -17,7 +17,6 @@ size.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -37,8 +36,6 @@ __all__ = [
     "perturbation_curve",
     "plot_table",
     "rank_features",
-    "write_curves_csv",
-    "write_summary_csv",
 ]
 
 _ORDERS = ("ascending", "descending")
@@ -199,25 +196,6 @@ def compare_explainers(model, dataset: MultimodalDataset, *,
 
 
 # --- output formats ------------------------------------------------------------------
-
-def write_curves_csv(curves: list[PerturbationCurve], path) -> None:
-    """(explainer, fraction, auc_roc) rows; floats via repr round-trip."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("explainer", "fraction", "auc_roc"))
-        for curve in curves:
-            for f, a in zip(curve.fractions, curve.auc_roc):
-                writer.writerow((curve.explainer, repr(float(f)), repr(float(a))))
-
-
-def write_summary_csv(curves: list[PerturbationCurve], path) -> None:
-    """(explainer, au) summary rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("explainer", "au"))
-        for curve in curves:
-            writer.writerow((curve.explainer, repr(float(curve.au))))
-
 
 def plot_table(curves: list[PerturbationCurve]) -> str:
     """Whitespace-separated table (fraction column, one column per explainer),

@@ -270,7 +270,7 @@ def train_model(model, dataset: MultimodalDataset, config: TrainConfig,
                 bad_epochs += 1
         result.history.append(entry)
         if log_fn is not None:
-            log_fn(entry)
+            log_fn({"event": "epoch", **entry})
         if val_idx is not None and bad_epochs >= config.patience:
             result.stopped_early = True
             break

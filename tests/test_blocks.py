@@ -51,7 +51,7 @@ def test_param_store_round_trip():
     store.add("a", np.arange(6.0).reshape(2, 3))
     assert store["a"].shape == (2, 3)
     assert store.names() == ["a"]
-    assert store.n_values() == 6
+    assert sum(a.size for _, a in store.items()) == 6
 
 
 def test_param_store_rejects_duplicates():

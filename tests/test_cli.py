@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icuxai.cli import build_parser, derive_seed, run
+from icuxai.cli import _write_csv, build_parser, derive_seed, run
+from icuxai.perturbation import area_under
 
 from test_preprocess import write_corpus
 
@@ -133,12 +134,16 @@ def test_perturb_emits_curves_and_summary(workdir):
                 "--steps", "4"]) == 0
     with (workdir / "curves.csv").open(newline="") as fh:
         curves = list(csv.DictReader(fh))
-    assert {r["explainer"] for r in curves} == {"lrptrans", "random"}
+    assert len(curves) == 2 * 10  # two explainers on the default grid
     with (workdir / "au_summary.csv").open(newline="") as fh:
         summary = {r["explainer"]: float(r["au"])
                    for r in csv.DictReader(fh)}
-    assert set(summary) == {"lrptrans", "random"}
+    assert list(summary) == ["lrptrans", "random"]
     assert all(0.0 <= v <= 1.0 for v in summary.values())
+    for kind, au in summary.items():  # both files read back exactly
+        rows = [r for r in curves if r["explainer"] == kind]
+        assert au == area_under([float(r["fraction"]) for r in rows],
+                                [float(r["auc_roc"]) for r in rows])
     table = (workdir / "curves.txt").read_text().splitlines()
     assert table[0].split() == ["fraction", "lrptrans", "random"]
 
@@ -152,6 +157,13 @@ def test_report_renders_every_section(workdir):
                     "## Per-record attribution detail (lrptrans)"):
         assert heading in text
     assert "| test | 24 |" in text
+
+
+def test_report_renders_the_perturbation_plot_table(workdir, tmp_path):
+    out = tmp_path / "report.md"
+    assert run(["report", "--run", str(workdir), "--out", str(out)]) == 0
+    table = (workdir / "curves.txt").read_text().strip("\n")
+    assert f"```\n{table}\n```" in out.read_text()
 
 
 def test_report_refuses_incomplete_run_directory(tmp_path):
@@ -174,6 +186,22 @@ def test_usage_errors_exit_1(workdir, tmp_path, capsys):
                 "--active", "sounds"]) == 1
     assert run(["synth", "--out", out, "--no-such-flag"]) == 1
     assert "usage" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["explain", "--records", "-3"], ["explain", "--records", "0"],
+    ["perturb", "--records", "-3"], ["report", "--top-k", "-1"],
+    ["report", "--heat-records", "-1"]], ids=" ".join)
+def test_negative_record_budgets_exit_1(workdir, tmp_path, argv, capsys):
+    if argv[0] == "report":
+        argv = argv + ["--run", str(workdir), "--out", str(tmp_path / "r.md")]
+    else:
+        argv = argv + ["--checkpoint", str(workdir), "--data", str(workdir),
+                       "--out", str(tmp_path)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert [p.name for p in tmp_path.iterdir()] == \
+        ([] if argv[0] == "report" else ["log.jsonl"])
 
 
 def test_data_errors_exit_2(workdir, tmp_path):
@@ -232,6 +260,85 @@ def test_non_finite_training_gradient_exits_3(workdir, tmp_path, monkeypatch, ca
     assert last == {"event": "error", "command": "train", "exit": 3,
                     "message": "epoch 0: non-finite gradient for parameter "
                                "'events.in_proj.w'"}
+
+
+def _run_directory_argv(command, workdir, tmp_path):
+    """Argument lists for the six run-directory subcommands."""
+    model = ["--checkpoint", str(workdir / "model.npz"),
+             "--data", str(workdir / "data.npz")]
+    if command == "preprocess":
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        write_corpus(raw, n=10, steps=20)
+        return [
+            "preprocess", "--events", str(raw / "events.csv"),
+            "--notes", str(raw / "notes.jsonl"),
+            "--vitals", str(raw / "vitals.csv"),
+            "--labels", str(raw / "labels.csv"),
+            "--steps", "20", "--min-count", "1", "--max-words", "16"]
+    return {
+        "synth": ["synth"] + SYNTH_ARGS,
+        "train": ["train", "--data", str(workdir / "data.npz")] + TRAIN_ARGS
+                 + ["--epochs", "1"],
+        "eval": ["eval"] + model,
+        "explain": ["explain"] + model + ["--kinds", "random", "--ids",
+                                          "syn-00001,syn-00002"],
+        "perturb": ["perturb"] + model + ["--explainers", "random",
+                                          "--records", "24", "--steps", "2"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["synth", "preprocess", "train", "eval",
+                                     "explain", "perturb"])
+def test_every_run_directory_subcommand_logs_start_done_and_manifest(
+        command, workdir, tmp_path):
+    out = tmp_path / "run"
+    argv = _run_directory_argv(command, workdir, tmp_path) + ["--out", str(out)]
+    assert run(argv) == 0
+    events = [json.loads(line)
+              for line in (out / "log.jsonl").read_text().splitlines()]
+    assert all("event" in e for e in events)
+    kinds = [e["event"] for e in events]
+    assert kinds[0] == "start" and kinds[-1] == "done"
+    assert kinds.count("start") == kinds.count("done") == 1
+    start, done = events[0], events[-1]
+    assert start["command"] == done["command"] == command
+    assert done["elapsed_s"] >= 0.0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == [command]
+    entry = manifest[command]
+    assert set(entry) == {"options", "inputs", "seed", "version"}
+    assert entry["options"] == start["options"]
+    assert entry["inputs"] == start["inputs"]
+    assert entry["seed"] == entry["options"]["seed"]
+    assert entry["inputs"]["out"] == str(out)
+    given = {argv[i][2:]: argv[i + 1] for i in range(len(argv) - 1)
+             if argv[i][2:] in entry["inputs"]}
+    assert {k: v for k, v in entry["inputs"].items() if v is not None} == given
+
+
+def test_train_logs_one_epoch_event_per_history_row(workdir):
+    events = [json.loads(line)
+              for line in (workdir / "log.jsonl").read_text().splitlines()]
+    epochs = [e for e in events if e["event"] == "epoch"]
+    with (workdir / "history.csv").open(newline="") as fh:
+        history = list(csv.DictReader(fh))
+    assert [e["epoch"] for e in epochs] == [int(h["epoch"]) for h in history]
+    done = next(e for e in events
+                if e["event"] == "done" and e["command"] == "train")
+    assert done["records"] == 120
+    assert done["split_sizes"] == {"train": 77, "val": 19, "test": 24}
+
+
+def test_csv_floats_read_back_exactly(tmp_path):
+    values = [np.float64(1) / 3, 0.1 + 0.2, np.float32(0.1), 2.0 ** -60]
+    _write_csv(tmp_path / "x.csv", ("name", "value", "n"),
+               [(f"v{i}", v, i) for i, v in enumerate(values)])
+    with (tmp_path / "x.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["value"]) for r in rows] == [float(v) for v in values]
+    assert [r["value"] for r in rows] == [repr(float(v)) for v in values]
+    assert [r["n"] for r in rows] == ["0", "1", "2", "3"]
 
 
 def test_help_and_version_exit_0(capsys):

@@ -138,3 +138,34 @@ def test_loaded_arrays_are_writable_copies(tmp_path):
     fileio.save_container(path, {"x": np.arange(3.0)})
     arrays, _ = fileio.load_container(path)
     arrays["x"][0] = 99.0  # must not raise (frombuffer alone would be read-only)
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with fileio.atomic_open(path) as fh:
+            fh.write("half of the new")
+            raise RuntimeError("disk full")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    with fileio.atomic_open(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_failed_container_write_keeps_the_old_container(tmp_path, monkeypatch):
+    path = tmp_path / "c.bin"
+    fileio.save_container(path, {"a": np.arange(3.0)}, {"v": 1})
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(fileio.os, "fsync", fail)
+    with pytest.raises(OSError):
+        fileio.save_container(path, {"a": np.arange(5.0)}, {"v": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
