@@ -21,6 +21,10 @@ token position (the sum of gradient x input over the token's embedding
 vector), vitals (timesteps, channels).  All six explainers emit the same
 report layout for a given record, so downstream ranking and perturbation
 code does not care which method produced a report.
+
+Every explainer takes one record, giving one report, or a cohort (a
+sequence of records), giving one report per record.  A cohort runs as
+a few batched passes instead of one pass per record.
 """
 
 from __future__ import annotations
@@ -175,10 +179,28 @@ def conservation_residual(report: AttributionReport) -> float:
 
 
 # --- shared plumbing -----------------------------------------------------------------
+#
+# Every explainer takes one record or a cohort (a sequence of records).
+# Records never interact in the network, so a cohort runs as stacked
+# rows of a few batched passes, and one bare record is the cohort of one:
+# there is a single code path, and a record explained alone gets the
+# same bits whichever way it was asked for. In a larger batch BLAS may
+# round the gradients' last ulps differently.
 
-def _batched(record: MultimodalRecord):
-    return (record.events.values[None], record.notes.ids[None],
-            record.vitals.values[None])
+def _cohort(records) -> tuple[list[MultimodalRecord], bool]:
+    """The records as a list, and whether one bare record was given."""
+    if isinstance(records, MultimodalRecord):
+        return [records], True
+    records = list(records)
+    if not records:
+        raise ValueError("no records to explain")
+    return records, False
+
+
+def _stacked(records: list[MultimodalRecord]):
+    return (np.array([r.events.values for r in records]),
+            np.array([r.notes.ids for r in records]),
+            np.array([r.vitals.values for r in records]))
 
 
 def _check_target_class(target_class) -> int:
@@ -212,38 +234,80 @@ def _build_report(record, explainer, target_class, target_value,
     )
 
 
-def _standard_forward(model, record, capture=None):
-    """One non-recording inference pass; returns the logit row and the
-    context, whose ``capture`` holds the attention maps when one is given."""
-    ctx = Context(tape=Tape(record=False), params=model.params, capture=capture)
-    logits = model.forward(ctx, *_batched(record))
-    return logits.data[0], ctx
+#: cap on the sequence positions x model width of one recording pass,
+#: whose rows are cohort records or one record's IG alphas. This is a
+#: proxy for the tape's memory, tuned only at desk geometry (273 rows
+#: per pass) and paper geometry (4 per pass). IG's replayed
+#: (1, heads, L, L) attention maps and (1, L, 1) LayerNorm denominators
+#: are held once per pass whatever the row count: binary ops and matmul
+#: broadcast them without a per-row copy.
+_IG_CELL_CAP = 1 << 18
+
+
+def _cell_rows(model, arrays) -> int:
+    cells = model.config.width * sum(a.shape[1] for a in arrays)
+    return max(1, _IG_CELL_CAP // cells)
+
+
+def _recording_rows(model, arrays) -> int:
+    """Cohort rows of a recording pass. Its tape keeps the activations,
+    which alone would fill the pass at a = ``_cell_rows`` rows, and the
+    scores and map of every attention, which alone would fill
+    ``_INFERENCE_ATTENTION_BYTES`` at b = ``pass_rows(keep_maps=True)``
+    rows. Holding both, it takes a * b / (a + b) rows: 251 at desk
+    geometry, 1 at paper geometry."""
+    a = _cell_rows(model, arrays)
+    b = model.pass_rows(*arrays, keep_maps=True)
+    return max(1, a * b // (a + b))
+
+
+def _explain(model, records, name: str, target_class: int, rows, attribute):
+    """One report per record, ``attribute`` run on stacked rows.
+
+    ``rows(model, arrays)`` caps the records per pass, and
+    ``attribute(chunk, events, notes, vitals)`` gives, per record of the
+    chunk, its target logit and its events, notes and vitals
+    attributions. Returns a report for a bare record, else a list.
+    """
+    records, single = _cohort(records)
+    arrays = _stacked(records)
+    step = rows(model, arrays)
+    reports = []
+    for start in range(0, len(records), step):
+        chunk = records[start:start + step]
+        results = attribute(chunk, *(a[start:start + step] for a in arrays))
+        reports.extend(_build_report(rec, name, target_class, *result)
+                       for rec, result in zip(chunk, results))
+    return reports[0] if single else reports
 
 
 # --- gradient x input ----------------------------------------------------------------
 
-def gi_attribute(model, record: MultimodalRecord, target_class: int = 1,
-                 mode: str = "attribution") -> AttributionReport:
+def gi_attribute(model, records, target_class: int = 1, mode: str = "attribution"):
     """Gradient x input at the three modality inputs.
 
     In attribution mode (the default) attention probabilities and the
     LayerNorm denominator are constants of the differentiation, which is
     what makes the decomposition additive; ``mode="standard"`` gives the
     plain gradient of the unmodified network for comparison.
+
+    A cohort runs as recording passes of ``_recording_rows`` records,
+    each one tape and one backward seeded with ones over the target
+    column: row ``i``'s input gradient is its own logit's.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     target_class = _check_target_class(target_class)
-    ctx = Context(tape=Tape(), params=model.params, mode=mode)
-    logits = model.forward(ctx, *_batched(record))
-    target = ad.slice_(logits, (0, target_class))
-    ad.backward(target, wrt=ctx.probes.values())
-    r_events = (ctx.probes["events"].data * _probe_grad(ctx, "events"))[0]
-    r_notes = (ctx.probes["notes"].data * _probe_grad(ctx, "notes"))[0].sum(axis=-1)
-    r_vitals = (ctx.probes["vitals"].data * _probe_grad(ctx, "vitals"))[0]
+
+    def attribute(chunk, *arrays):
+        ctx = Context(tape=Tape(), params=model.params, mode=mode)
+        target = ad.slice_(model.forward(ctx, *arrays), (slice(None), target_class))
+        ad.backward(target, seed=np.ones(len(chunk)), wrt=ctx.probes.values())
+        r = {m: ctx.probes[m].data * _probe_grad(ctx, m) for m in MODALITIES}
+        return list(zip(target.data, r["events"], r["notes"].sum(axis=-1), r["vitals"]))
+
     name = "lrptrans" if mode == "attribution" else "gradient-input"
-    return _build_report(record, name, target_class, float(target.data),
-                         r_events, r_notes, r_vitals)
+    return _explain(model, records, name, target_class, _recording_rows, attribute)
 
 
 # --- integrated gradients ------------------------------------------------------------
@@ -261,18 +325,7 @@ def midpoint_alphas(steps: int) -> np.ndarray:
     return (np.arange(1, steps + 1) - 0.5) / steps
 
 
-#: cap on the sequence positions x model width of one stacked IG pass;
-#: the alpha grid is cut into chunks of as many rows as fit under it.
-#: This is a proxy for the tape's memory, tuned only at desk geometry
-#: (all 20 alphas in one pass) and paper geometry (4 per pass). The
-#: replayed (1, heads, L, L) attention maps and (1, L, 1) LayerNorm
-#: denominators are held once per pass whatever the row count: binary
-#: ops and matmul broadcast them without a per-row copy.
-_IG_CELL_CAP = 1 << 18
-
-
-def integrated_gradients(model, record: MultimodalRecord, target_class: int = 1,
-                         steps: int = 20) -> AttributionReport:
+def integrated_gradients(model, records, target_class: int = 1, steps: int = 20):
     """Path-integrated gradients from an all-zero baseline.
 
     The note baseline is the zero *embedding*, reached by scaling the
@@ -298,50 +351,72 @@ def integrated_gradients(model, record: MultimodalRecord, target_class: int = 1,
     BLAS rounds differently at another row count. The grid is cut into
     chunks of at most ``_IG_CELL_CAP`` sequence positions x width cells
     per pass, which bounds the tape's memory at paper geometry; the
-    per-row gradients are summed in alpha order.
+    per-row gradients are summed in alpha order. A cohort runs one
+    record at a time, since the alpha grid already fills the passes.
     """
     target_class = _check_target_class(target_class)
-    arrays = _batched(record)
-    # endpoint pass: records the frozen constants, the explained value,
-    # and the input tensors the gradients get multiplied with; no
-    # backward runs on it, so its tape keeps nothing
-    frozen = FrozenState()
-    end = Context(tape=Tape(record=False), params=model.params, mode="attribution",
-                  frozen=frozen)
-    logits = model.forward(end, *arrays)
-    target_value = float(logits.data[0, target_class])
     alphas = midpoint_alphas(steps)
-    cells = model.config.width * sum(a.shape[1] for a in arrays)
-    chunk = max(1, _IG_CELL_CAP // cells)
-    acc: dict[str, np.ndarray] = {}
-    for start in range(0, alphas.size, chunk):
-        rows = alphas[start:start + chunk]
-        ctx = Context(tape=Tape(), params=model.params, mode="attribution",
-                      frozen=frozen.start_replay(), input_scale=rows)
-        logits = model.forward(ctx, *(np.repeat(a, rows.size, axis=0) for a in arrays))
-        ad.backward(ad.slice_(logits, (slice(None), target_class)),
-                    seed=np.ones(rows.size), wrt=ctx.probes.values())
-        for m in MODALITIES:
-            for g in _probe_grad(ctx, m):
-                acc[m] = acc[m] + g if m in acc else g
-    r = {m: end.probes[m].data[0] * (acc[m] / steps) for m in MODALITIES}
-    return _build_report(record, "integrated-gradients", target_class, target_value,
-                         r["events"], r["notes"].sum(axis=-1), r["vitals"])
+
+    def attribute(chunk, *arrays):
+        # endpoint pass: records the frozen constants, the explained value,
+        # and the input tensors the gradients get multiplied with; no
+        # backward runs on it, so its tape keeps nothing
+        frozen = FrozenState()
+        end = Context(tape=Tape(record=False), params=model.params,
+                      mode="attribution", frozen=frozen)
+        logits = model.forward(end, *arrays)
+        per_pass = _cell_rows(model, arrays)
+        acc: dict[str, np.ndarray] = {}
+        for start in range(0, alphas.size, per_pass):
+            rows = alphas[start:start + per_pass]
+            ctx = Context(tape=Tape(), params=model.params, mode="attribution",
+                          frozen=frozen.start_replay(), input_scale=rows)
+            out = model.forward(ctx, *(np.repeat(a, rows.size, axis=0) for a in arrays))
+            ad.backward(ad.slice_(out, (slice(None), target_class)),
+                        seed=np.ones(rows.size), wrt=ctx.probes.values())
+            for m in MODALITIES:
+                for g in _probe_grad(ctx, m):
+                    acc[m] = acc[m] + g if m in acc else g
+        r = {m: end.probes[m].data[0] * (acc[m] / steps) for m in MODALITIES}
+        return [(logits.data[0, target_class], r["events"], r["notes"].sum(axis=-1),
+                 r["vitals"])]
+
+    return _explain(model, records, "integrated-gradients", target_class,
+                    lambda model, arrays: 1, attribute)
 
 
 # --- attention readouts --------------------------------------------------------------
 
-def _head_mean_maps(ctx: Context) -> dict[str, list[np.ndarray]]:
-    maps = {}
-    for m in MODALITIES:
-        if m not in ctx.capture:
-            raise RuntimeError(f"no attention maps captured for {m}")
-        maps[m] = [block_p[0] for block_p in ctx.capture[m]]  # (heads, L, L) each
-    return maps
+def _readout(model, records, name: str, target_class: int, read, capture=False):
+    """Reports read off non-recording passes, cut by ``predict_proba``'s
+    attention byte rule. ``read(record, maps)`` gives the record's three
+    attribution arrays; with ``capture`` set, ``maps`` holds its
+    (heads, L, L) attention map per encoder block, keyed by modality, and
+    the rule counts every map the capture keeps."""
+
+    def rows(model, arrays):
+        return model.pass_rows(*arrays, keep_maps=capture)
+
+    def attribute(chunk, *arrays):
+        ctx = Context(tape=Tape(record=False), params=model.params,
+                      capture={} if capture else None)
+        logits = model.forward(ctx, *arrays).data
+        results = []
+        for i, rec in enumerate(chunk):
+            maps = {m: [p[i] for p in ctx.capture[m]] for m in MODALITIES} \
+                if capture else None
+            results.append((logits[i, target_class], *read(rec, maps)))
+        return results
+
+    return _explain(model, records, name, target_class, rows, attribute)
 
 
-def attention_last(model, record: MultimodalRecord,
-                   target_class: int = 1) -> AttributionReport:
+def _per_position(row: np.ndarray, shape) -> np.ndarray:
+    """A per-position weight broadcast across a grid's feature columns."""
+    return np.broadcast_to(row[:, None], shape).copy()
+
+
+def attention_last(model, records, target_class: int = 1):
     """Head-averaged attention of the final block, read at the pooled row.
 
     Every position gets the weight the pooled (first) position paid to
@@ -349,15 +424,13 @@ def attention_last(model, record: MultimodalRecord,
     columns so the report shape matches the gradient methods.
     """
     target_class = _check_target_class(target_class)
-    logits, ctx = _standard_forward(model, record, capture={})
-    maps = _head_mean_maps(ctx)
-    rows = {m: maps[m][-1].mean(axis=0)[0] for m in MODALITIES}
-    return _build_report(
-        record, "attention-last", target_class, logits[target_class],
-        np.broadcast_to(rows["events"][:, None], record.events.values.shape).copy(),
-        rows["notes"],
-        np.broadcast_to(rows["vitals"][:, None], record.vitals.values.shape).copy(),
-    )
+
+    def read(rec, maps):
+        rows = {m: maps[m][-1][:, 0].mean(axis=0) for m in MODALITIES}
+        return (_per_position(rows["events"], rec.events.values.shape), rows["notes"],
+                _per_position(rows["vitals"], rec.vitals.values.shape))
+
+    return _readout(model, records, "attention-last", target_class, read, capture=True)
 
 
 def rollout_matrix(maps: list[np.ndarray]) -> np.ndarray:
@@ -382,24 +455,21 @@ def rollout_matrix(maps: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def attention_rollout(model, record: MultimodalRecord,
-                      target_class: int = 1) -> AttributionReport:
+def attention_rollout(model, records, target_class: int = 1):
     target_class = _check_target_class(target_class)
-    logits, ctx = _standard_forward(model, record, capture={})
-    maps = _head_mean_maps(ctx)
-    rows = {m: rollout_matrix(maps[m])[0] for m in MODALITIES}
-    return _build_report(
-        record, "attention-rollout", target_class, logits[target_class],
-        np.broadcast_to(rows["events"][:, None], record.events.values.shape).copy(),
-        rows["notes"],
-        np.broadcast_to(rows["vitals"][:, None], record.vitals.values.shape).copy(),
-    )
+
+    def read(rec, maps):
+        rows = {m: rollout_matrix(maps[m])[0].copy() for m in MODALITIES}
+        return (_per_position(rows["events"], rec.events.values.shape), rows["notes"],
+                _per_position(rows["vitals"], rec.vitals.values.shape))
+
+    return _readout(model, records, "attention-rollout", target_class, read,
+                    capture=True)
 
 
 # --- random control ------------------------------------------------------------------
 
-def random_attribution(model, record: MultimodalRecord, target_class: int = 1,
-                       seed: int = 0) -> AttributionReport:
+def random_attribution(model, records, target_class: int = 1, seed: int = 0):
     """Uniform random scores, seeded from the record id.
 
     The per-record stream depends only on (seed, record id), so a rerun
@@ -409,15 +479,14 @@ def random_attribution(model, record: MultimodalRecord, target_class: int = 1,
     target_class = _check_target_class(target_class)
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    logits, _ = _standard_forward(model, record)
-    rng = np.random.default_rng(
-        np.random.SeedSequence((int(seed), zlib.crc32(record.record_id.encode("utf-8")))))
-    return _build_report(
-        record, "random", target_class, logits[target_class],
-        rng.random(record.events.values.shape),
-        rng.random(record.notes.ids.shape),
-        rng.random(record.vitals.values.shape),
-    )
+
+    def read(rec, maps):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            (int(seed), zlib.crc32(rec.record_id.encode("utf-8")))))
+        return (rng.random(rec.events.values.shape), rng.random(rec.notes.ids.shape),
+                rng.random(rec.vitals.values.shape))
+
+    return _readout(model, records, "random", target_class, read)
 
 
 # --- epsilon-rule relevance propagation ----------------------------------------------
@@ -498,32 +567,36 @@ def relevance_propagate(target: Tensor, read_at: dict[str, Tensor],
             for name, t in read_at.items()}
 
 
-def epsilon_lrp(model, record: MultimodalRecord, target_class: int = 1,
-                eps: float = 1e-6) -> AttributionReport:
+def epsilon_lrp(model, records, target_class: int = 1, eps: float = 1e-6):
     """Epsilon-rule relevance propagation over the recorded forward tape.
 
     Attention maps and LayerNorm denominators act as fixed mixing
     weights (the attribution-mode forward already pins them); linear and
     relu operations redistribute by the epsilon rule with the given
-    stabilizer.
+    stabilizer. A cohort runs as recording passes of ``_recording_rows``
+    records, each one sweep seeded with its rows' target logits.
     """
     target_class = _check_target_class(target_class)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    ctx = Context(tape=Tape(), params=model.params, mode="attribution")
-    logits = model.forward(ctx, *_batched(record))
-    target = ad.slice_(logits, (0, target_class))
-    rel = relevance_propagate(target, dict(ctx.probes), eps=eps)
-    return _build_report(
-        record, "lrp-epsilon", target_class, float(target.data),
-        rel["events"][0], rel["notes"][0].sum(axis=-1), rel["vitals"][0])
+
+    def attribute(chunk, *arrays):
+        ctx = Context(tape=Tape(), params=model.params, mode="attribution")
+        target = ad.slice_(model.forward(ctx, *arrays), (slice(None), target_class))
+        rel = relevance_propagate(target, dict(ctx.probes), eps=eps)
+        return list(zip(target.data, rel["events"], rel["notes"].sum(axis=-1),
+                        rel["vitals"]))
+
+    return _explain(model, records, "lrp-epsilon", target_class, _recording_rows,
+                    attribute)
 
 
 # --- uniform front end ---------------------------------------------------------------
 
-#: explainer kind -> call on (explainer, record, target class). Each entry
-#: looks its function up as a module global when called, so a wrapper
-#: installed on the module (a profiler, a test double) sees every call.
+#: explainer kind -> call on (explainer, record or cohort, target class).
+#: Each entry looks its function up as a module global when called, so a
+#: wrapper installed on the module (a profiler, a test double) sees every
+#: call.
 _EXPLAINERS = {
     "random": lambda ex, rec, tc: random_attribution(ex.model, rec, tc, ex.seed),
     "attention-last": lambda ex, rec, tc: attention_last(ex.model, rec, tc),
@@ -555,6 +628,11 @@ class Explainer:
     def explain(self, record: MultimodalRecord,
                 target_class: int = 1) -> AttributionReport:
         return _EXPLAINERS[self.kind](self, record, target_class)
+
+    def explain_cohort(self, records,
+                       target_class: int = 1) -> list[AttributionReport]:
+        """One report per record, in order, from batched passes."""
+        return _EXPLAINERS[self.kind](self, list(records), target_class)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Explainer(kind={self.kind!r})"

@@ -10,9 +10,12 @@ Every ``log.jsonl`` line is a JSON object with an ``event`` key:
 
 * ``start``: ``command``, ``options``, ``inputs``;
 * progress events: ``epoch`` (train; ``epoch``, ``loss``, ``lr``,
-  ``val_auc``), ``metrics`` (eval), ``explained`` (explain),
-  ``perturbation-curve`` (perturb), ``unmatched-stays`` and
-  ``rejected-stays`` (preprocess);
+  ``val_auc``), ``metrics`` (eval), ``explained`` (explain; ``explainer``,
+  ``records``, ``ms_per_record``, and the median and largest
+  ``|conservation residual|`` over the cohort as ``residual_median`` and
+  ``residual_max_abs``), ``perturbation-curve`` (perturb),
+  ``unmatched-stays``, ``unlabeled-stays`` and ``rejected-stays``
+  (preprocess);
 * ``done``: ``command``, ``elapsed_s`` and the subcommand's counts;
 * ``error``: ``command``, ``exit``, ``message``, in place of ``done``.
 
@@ -475,8 +478,10 @@ def cmd_explain(args, opts, out, log):
         explainer = make_explainer(
             kind, model, seed=derive_seed(opts["seed"], f"explain-{kind}"),
             steps=opts["steps"])
-        reports = [explainer.explain(ds.record(i), opts["target-class"])
-                   for i in picked]
+        started = time.perf_counter()
+        reports = explainer.explain_cohort([ds.record(i) for i in picked],
+                                           opts["target-class"])
+        ms_per_record = (time.perf_counter() - started) * 1e3 / len(reports)
         rows = []
         for report in reports:
             rows.extend((report.record_id,) + row for row in report.csv_rows())
@@ -487,8 +492,11 @@ def cmd_explain(args, opts, out, log):
             min_token_count=opts["min-token-count"])
         _write_text(out / f"aggregate_{kind}.json",
                     json.dumps(ranking, indent=2, sort_keys=True) + "\n")
-        log({"event": "explained", "explainer": kind,
-             "records": len(reports)})
+        residuals = np.abs([r.conservation_residual for r in reports])
+        log({"event": "explained", "explainer": kind, "records": len(reports),
+             "ms_per_record": ms_per_record,
+             "residual_median": float(np.median(residuals)),
+             "residual_max_abs": float(residuals.max())})
     return ({"records": len(picked)},
             f"wrote attributions_*.csv and aggregate_*.json for "
             f"{', '.join(kinds)} ({len(picked)} records)")

@@ -22,6 +22,7 @@ non-reproducible.) Writes are also atomic: see :func:`atomic_open`.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -94,6 +95,31 @@ def save_container(path, arrays: dict[str, np.ndarray], meta: dict | None = None
         fh.write(payload)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _array_entries(path, entries) -> list[tuple[str, np.dtype, tuple, int, int]]:
+    """(name, dtype, shape, offset, nbytes) of each header array entry."""
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: malformed header (arrays is not a list)")
+    out = []
+    for entry in entries:
+        try:
+            name, wire, shape = entry["name"], entry["dtype"], entry["shape"]
+            offset, nbytes = entry["offset"], entry["nbytes"]
+        except (KeyError, TypeError):
+            raise ParseError(f"{path}: malformed array entry {entry!r}") from None
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(map(_is_count, [offset, nbytes, *shape]))):
+            raise ParseError(f"{path}: malformed array entry {entry!r}")
+        dtype = _DTYPES.get(wire) if isinstance(wire, str) else None
+        if dtype is None:
+            raise ParseError(f"{path}: unknown array dtype {wire!r}")
+        out.append((name, dtype, tuple(shape), offset, nbytes))
+    return out
+
+
 def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a container written by :func:`save_container`.
 
@@ -114,29 +140,32 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
         raise ParseError(f"{path}: truncated header")
     try:
         header = json.loads(raw[body_start:payload_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise ParseError(f"{path}: malformed header ({e})") from None
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: malformed header (not a JSON object)")
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported container version {version!r} "
                          f"(this build reads version {FORMAT_VERSION})")
+    entries = _array_entries(path, header.get("arrays", []))
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParseError(f"{path}: malformed header (meta is not an object)")
     payload = raw[payload_start:]
-    expected = sum(entry["nbytes"] for entry in header.get("arrays", []))
+    expected = sum(entry[-1] for entry in entries)
     if len(payload) != expected:
         raise ParseError(f"{path}: truncated payload "
                          f"({len(payload)} bytes, header promises {expected})")
     if zlib.crc32(payload) != header.get("crc32"):
         raise ParseError(f"{path}: payload checksum mismatch")
     arrays = {}
-    for entry in header.get("arrays", []):
-        dtype = _DTYPES.get(entry["dtype"])
-        if dtype is None:
-            raise ParseError(f"{path}: unknown array dtype {entry['dtype']!r}")
-        start, nbytes = entry["offset"], entry["nbytes"]
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for name, dtype, shape, start, nbytes in entries:
+        count = math.prod(shape)
         if count * dtype.itemsize != nbytes:
-            raise ParseError(f"{path}: array {entry['name']!r} shape/bytes mismatch")
+            raise ParseError(f"{path}: array {name!r} shape/bytes mismatch")
+        if start + nbytes > len(payload):
+            raise ParseError(f"{path}: array {name!r} lies outside the payload")
         flat = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
-        arrays[entry["name"]] = flat.reshape(shape).copy()
-    return arrays, header.get("meta", {})
+        arrays[name] = flat.reshape(shape).copy()
+    return arrays, meta

@@ -240,24 +240,37 @@ class TriModalNet:
         hidden = ad.relu(self.fusion_hidden.forward(ctx, fused))
         return self.fusion_out.forward(ctx, hidden)
 
+    def pass_rows(self, *arrays, keep_maps: bool = False) -> int:
+        """The most rows of ``arrays`` one forward pass takes: as many as
+        fit the float64 (heads, L, L) attention arrays the pass holds into
+        ``_INFERENCE_ATTENTION_BYTES``. A pass that drops each attention's
+        arrays once it is done holds two at a time, the scores and the
+        softmax map, with L the longest input sequence. With ``keep_maps``
+        it keeps both for every encoder block, as a recording tape or an
+        attention capture does."""
+        c = self.config
+        lengths = [a.shape[1] for a in arrays if a.ndim > 1]
+        if keep_maps:
+            blocks = (c.event_blocks, c.note_blocks, c.vitals_blocks)
+            squares = sum(n * length * length for n, length in zip(blocks, lengths))
+        else:
+            squares = max([1] + [length * length for length in lengths])
+        return max(1, _INFERENCE_ATTENTION_BYTES // (2 * c.heads * squares * 8))
+
     def predict_proba(self, events, notes, vitals, batch_size: int = 256,
                       active: tuple[str, ...] = MODALITIES) -> np.ndarray:
         """Class probabilities (n, 2), computed in inference batches.
 
         Each batch runs on a non-recording tape, so a forward holds only
         the values still in use. ``batch_size`` is an upper bound: a batch
-        takes at most as many rows as fit their two float64 (heads, L, L)
-        attention buffers, the scores and the softmax map, into
-        ``_INFERENCE_ATTENTION_BYTES``, where L is the longest of the three
-        input sequences. BLAS may round the last ulps differently at
-        another batch size, so a cut batch is not bit-equal to an uncut one.
+        takes at most :meth:`pass_rows` rows. BLAS may round the last
+        ulps differently at another batch size, so a cut batch is not
+        bit-equal to an uncut one.
         """
         arrays = tuple(np.asarray(a) for a in (events, notes, vitals))
         events, notes, vitals = arrays
         n = events.shape[0]
-        length = max([1] + [a.shape[1] for a in arrays if a.ndim > 1])
-        row_bytes = 2 * self.config.heads * length * length * 8
-        batch_size = max(1, min(batch_size, _INFERENCE_ATTENTION_BYTES // row_bytes))
+        batch_size = max(1, min(batch_size, self.pass_rows(*arrays)))
         out = []
         for start in range(0, n, batch_size):
             stop = min(start + batch_size, n)

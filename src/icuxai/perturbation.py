@@ -17,7 +17,6 @@ size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 _ORDERS = ("ascending", "descending")
-_MODALITY_RANK = {m: i for i, m in enumerate(MODALITIES)}
 
 
 def default_fractions() -> np.ndarray:
@@ -70,6 +68,36 @@ class PerturbationCurve:
 
 
 # --- ranking and removal -------------------------------------------------------------
+#
+# A record's units sit in one flat row: its events cells, then its note
+# positions, then its vitals cells, each in flat index order, so a unit's
+# column encodes (modality rank, index). [CLS] and [PAD] positions hold
+# columns but are not units.
+
+def _rank_units(reports, order: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each report's unit columns in removal order, and its unit count.
+
+    ``np.lexsort`` over (is structure, |attribution|, modality rank,
+    index) puts the real units first, least important first (most
+    important first for ``descending``), ties by modality then index;
+    the first ``count`` columns of a row are exactly its units. Returns
+    the (records, columns) order and the (records,) counts.
+    """
+    if order not in _ORDERS:
+        raise ValueError(f"order must be one of {_ORDERS}")
+    first = reports[0]
+    sizes = (first.events.size, first.notes.size, first.vitals.size)
+    value = np.stack([np.concatenate([r.events.ravel(), r.notes, r.vitals.ravel()])
+                      for r in reports])
+    score = -np.abs(value) if order == "descending" else np.abs(value)
+    structure = np.zeros(value.shape, dtype=bool)
+    structure[:, sizes[0]:sizes[0] + sizes[1]] = np.stack(
+        [np.isin(r.note_ids, (PAD_ID, CLS_ID)) for r in reports])
+    modality = np.repeat(np.arange(len(sizes)), sizes)
+    index = np.concatenate([np.arange(n) for n in sizes])
+    keys = np.broadcast_arrays(index, modality, score, structure)
+    return np.lexsort(keys, axis=-1), np.sum(~structure, axis=-1)
+
 
 def rank_features(report: AttributionReport,
                   order: str = "ascending") -> list[tuple[str, int]]:
@@ -79,18 +107,11 @@ def rank_features(report: AttributionReport,
     one (timestep, channel) vitals cell, addressed by its flat index.
     Ties break on (modality, index) so the ranking is deterministic.
     """
-    if order not in _ORDERS:
-        raise ValueError(f"order must be one of {_ORDERS}")
-    units = []
-    for idx, value in enumerate(report.events.ravel()):
-        units.append((abs(value), _MODALITY_RANK["events"], "events", idx))
-    for idx, tid in enumerate(report.note_ids):
-        if tid not in (PAD_ID, CLS_ID):
-            units.append((abs(report.notes[idx]), _MODALITY_RANK["notes"], "notes", idx))
-    for idx, value in enumerate(report.vitals.ravel()):
-        units.append((abs(value), _MODALITY_RANK["vitals"], "vitals", idx))
-    units.sort(key=lambda u: (-u[0] if order == "descending" else u[0], u[1], u[3]))
-    return [(modality, idx) for _, _, modality, idx in units]
+    columns, count = _rank_units([report], order)
+    columns = columns[0, :count[0]]
+    starts = np.cumsum([0, report.events.size, report.notes.size])
+    m = np.searchsorted(starts, columns, side="right") - 1
+    return [(MODALITIES[k], i) for k, i in zip(m.tolist(), (columns - starts[m]).tolist())]
 
 
 def perturb(record: MultimodalRecord,
@@ -139,34 +160,34 @@ def perturbation_curve(model, dataset: MultimodalDataset, kind: str, *,
                        eps: float = 1e-6) -> PerturbationCurve:
     """Remove each record's least-relevant units and rescore the test set.
 
-    Attributions are computed once per record on the unperturbed input;
-    at fraction f the lowest floor(f * n) of a record's n units are
-    replaced by baselines before the whole set is scored again.
+    Attributions are computed once per record on the unperturbed input,
+    the whole cohort in batched passes; at fraction f the lowest
+    floor(f * n) of a record's n units are replaced by baselines. The
+    copies for every fraction are scored in one ``predict_proba`` call.
     """
     fractions = default_fractions() if fractions is None else np.asarray(fractions)
     explainer = make_explainer(kind, model, seed=seed, steps=steps, eps=eps)
-    n = len(dataset)
-    rankings = []
-    for i in range(n):
-        report = explainer.explain(dataset.record(i), target_class)
-        rankings.append(rank_features(report, order))
+    reports = explainer.explain_cohort(
+        [dataset.record(i) for i in range(len(dataset))], target_class)
+    columns, count = _rank_units(reports, order)
+    # a unit's removal rank; structure columns rank at or after ``count``
+    rank = np.empty_like(columns)
+    np.put_along_axis(rank, columns, np.arange(columns.shape[1]), axis=-1)
+    take = np.floor(fractions.astype(np.float64)[:, None] * count).astype(np.int64)
+    removed = rank < take[:, :, None]          # (fractions, records, columns)
 
-    aucs = []
-    for f in fractions:
-        events = dataset.events.copy()
-        notes = dataset.notes.copy()
-        vitals = dataset.vitals.copy()
-        for i, ranking in enumerate(rankings):
-            take = int(math.floor(float(f) * len(ranking)))
-            for modality, idx in ranking[:take]:
-                if modality == "events":
-                    events[i].reshape(-1)[idx] = 0.0
-                elif modality == "notes":
-                    notes[i, idx] = PAD_ID
-                else:
-                    vitals[i].reshape(-1)[idx] = 0.0
-        probs = model.predict_proba(events, notes, vitals)
-        aucs.append(auc_roc(dataset.labels, probs[:, 1]))
+    n_events = dataset.events[0].size
+    n_notes = dataset.notes.shape[1]
+    copies = len(fractions)
+    events = np.repeat(dataset.events[None], copies, axis=0)
+    notes = np.repeat(dataset.notes[None], copies, axis=0)
+    vitals = np.repeat(dataset.vitals[None], copies, axis=0)
+    events.reshape(removed.shape[:2] + (-1,))[removed[..., :n_events]] = 0.0
+    notes[removed[..., n_events:n_events + n_notes]] = PAD_ID
+    vitals.reshape(removed.shape[:2] + (-1,))[removed[..., n_events + n_notes:]] = 0.0
+    flat = [a.reshape((-1,) + a.shape[2:]) for a in (events, notes, vitals)]
+    probs = model.predict_proba(*flat)[:, 1].reshape(copies, len(dataset))
+    aucs = [auc_roc(dataset.labels, p) for p in probs]
     return PerturbationCurve(
         explainer=kind,
         fractions=fractions,

@@ -693,6 +693,9 @@ def build_dataset(events_path, notes_path, vitals_path, labels_path, *,
     if unlabeled:
         warnings.warn(f"{len(unlabeled)} matched stays have no label and "
                       f"were dropped")
+        if log_fn is not None:
+            log_fn({"event": "unlabeled-stays", "count": len(unlabeled),
+                    "stays": unlabeled})
         matched = [s for s in matched if s in labels]
 
     screen = VitalsPreprocessor(table, steps=steps, hours=hours)

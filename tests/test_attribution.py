@@ -591,6 +591,135 @@ def test_explainer_kinds_keep_their_order():
                                "integrated-gradients", "lrp-epsilon", "lrptrans")
 
 
+# --- cohorts -------------------------------------------------------------------------
+
+DESK = {"width": 16, "heads": 2, "ffn_width": 32, "dropout": 0.1,
+        "event_blocks": 1, "note_blocks": 1, "vitals_blocks": 1,
+        "event_hours": 12, "event_dim": 10, "note_len": 24, "vocab_size": 60,
+        "vitals_steps": 24, "vitals_channels": 6, "fusion_hidden": 16}
+
+
+@pytest.fixture(scope="module")
+def desk_cohort():
+    from icuxai.synthetic import SyntheticSpec, generate_synthetic
+    spec = SyntheticSpec(n_records=9, positive_rate=0.3, hours=12, event_dim=10,
+                         note_len=24, vocab_size=60, vitals_steps=24,
+                         vitals_channels=6)
+    ds, _ = generate_synthetic(spec, seed=4)
+    return [ds.record(i) for i in range(len(ds))]
+
+
+def _assert_reports_match(cohort, singles, tol=1e-12):
+    assert [r.record_id for r in cohort] == [r.record_id for r in singles]
+    for got, want in zip(cohort, singles):
+        assert (got.explainer, got.target_class) == (want.explainer, want.target_class)
+        assert abs(got.target_value - want.target_value) <= tol
+        assert got.note_ids.tolist() == want.note_ids.tolist()
+        scale = max(float(np.max(np.abs(np.concatenate(
+            [want.events.ravel(), want.notes, want.vitals.ravel()])))), 1e-300)
+        for m in ("events", "notes", "vitals"):
+            assert float(np.max(np.abs(getattr(got, m) - getattr(want, m)))) \
+                <= tol * scale
+
+
+@pytest.mark.parametrize("bias_free", [False, True])
+@pytest.mark.parametrize("kind", EXPLAINER_KINDS)
+def test_cohort_reports_match_per_record_reports(desk_cohort, kind, bias_free):
+    net = TriModalNet(ModelConfig(**DESK, bias_free=bias_free, seed=5))
+    explainer = make_explainer(kind, net, seed=3, steps=4)
+    for target_class in (0, 1):
+        singles = [explainer.explain(rec, target_class) for rec in desk_cohort]
+        cohort = explainer.explain_cohort(desk_cohort, target_class)
+        _assert_reports_match(cohort, singles)
+
+
+def test_a_bare_record_and_a_cohort_of_one_give_the_same_bits(model):
+    rec = make_record(24)
+    for kind in EXPLAINER_KINDS:
+        explainer = make_explainer(kind, model, steps=3)
+        (one,) = explainer.explain_cohort([rec])
+        bare = explainer.explain(rec)
+        assert one.target_value == bare.target_value
+        for m in ("events", "notes", "vitals"):
+            assert np.array_equal(getattr(one, m), getattr(bare, m))
+
+
+def test_empty_cohort_is_rejected(model):
+    with pytest.raises(ValueError, match="no records"):
+        make_explainer("lrptrans", model).explain_cohort([])
+
+
+def test_shuffled_cohort_keeps_each_random_control(model):
+    records = [make_record(30 + i, rid=f"stay-{i}") for i in range(6)]
+    explainer = make_explainer("random", model, seed=9)
+    by_id = {r.record_id: r for r in explainer.explain_cohort(records)}
+    order = np.random.default_rng(0).permutation(len(records))
+    shuffled = explainer.explain_cohort([records[i] for i in order])
+    assert [r.record_id for r in shuffled] == [records[i].record_id for i in order]
+    for rep in shuffled:
+        for m in ("events", "notes", "vitals"):
+            assert np.array_equal(getattr(rep, m), getattr(by_id[rep.record_id], m))
+
+
+def _rows_per_pass(monkeypatch, net):
+    rows = []
+    real_forward = net.forward
+
+    def counting_forward(ctx, events, *rest, **kw):
+        rows.append(np.asarray(events).shape[0])
+        return real_forward(ctx, events, *rest, **kw)
+
+    monkeypatch.setattr(net, "forward", counting_forward)
+    return rows
+
+
+def _attention_row_bytes(keep_maps):
+    """Attention bytes of one SMALL row: scores and map of the longest
+    sequence, or of every encoder block when the pass keeps them."""
+    squares = [SMALL[k] ** 2 for k in ("event_hours", "note_len", "vitals_steps")]
+    return 2 * SMALL["heads"] * 8 * (sum(squares) if keep_maps else max(squares))
+
+
+@pytest.mark.parametrize("kind", ["lrptrans", "lrp-epsilon"])
+def test_cohort_over_the_pass_caps_runs_as_several_recording_passes(model,
+                                                                    monkeypatch, kind):
+    from icuxai import model as model_module
+
+    records = [make_record(40 + i) for i in range(7)]
+    explainer = make_explainer(kind, model)
+    singles = [explainer.explain(rec) for rec in records]
+    # the activations alone would fill a pass at 6 rows, and so would the
+    # kept attention maps alone; a pass that holds both takes 3
+    cells = SMALL["width"] * (SMALL["event_hours"] + SMALL["note_len"]
+                              + SMALL["vitals_steps"])
+    monkeypatch.setattr(attribution, "_IG_CELL_CAP", 6 * cells)
+    monkeypatch.setattr(model_module, "_INFERENCE_ATTENTION_BYTES",
+                        6 * _attention_row_bytes(keep_maps=True))
+    rows = _rows_per_pass(monkeypatch, model)
+    cohort = explainer.explain_cohort(records)
+    monkeypatch.undo()
+    assert rows == [3, 3, 1]
+    _assert_reports_match(cohort, singles)
+
+
+@pytest.mark.parametrize("kind", ["random", "attention-last", "attention-rollout"])
+def test_cohort_over_the_byte_cap_runs_as_several_inference_passes(model, monkeypatch,
+                                                                   kind):
+    from icuxai import model as model_module
+
+    records = [make_record(50 + i) for i in range(5)]
+    explainer = make_explainer(kind, model)
+    singles = [explainer.explain(rec) for rec in records]
+    # a capture keeps every block's map, so its rows count them all
+    row_bytes = _attention_row_bytes(keep_maps=kind != "random")
+    monkeypatch.setattr(model_module, "_INFERENCE_ATTENTION_BYTES", 2 * row_bytes)
+    rows = _rows_per_pass(monkeypatch, model)
+    cohort = explainer.explain_cohort(records)
+    monkeypatch.undo()
+    assert rows == [2, 2, 1]
+    _assert_reports_match(cohort, singles)
+
+
 # --- report serialization ------------------------------------------------------------
 
 def test_report_json_round_trip_is_exact(model):

@@ -127,6 +127,28 @@ def test_explain_honors_explicit_ids(workdir, tmp_path):
     assert seen == set(picked)
 
 
+def test_explained_event_reports_time_and_residuals(workdir, tmp_path):
+    from icuxai.attribution import make_explainer
+    from icuxai.model import load_checkpoint
+    from icuxai.records import MultimodalDataset
+    ds = MultimodalDataset.load(workdir / "data.npz")
+    model, _ = load_checkpoint(workdir / "model.npz")
+    assert run(["explain", "--checkpoint", str(workdir / "model.npz"),
+                "--data", str(workdir / "data.npz"), "--out", str(tmp_path),
+                "--kinds", "lrptrans", "--ids", ",".join(ds.ids[:3])]) == 0
+    events = [json.loads(line)
+              for line in (tmp_path / "log.jsonl").read_text().splitlines()]
+    (explained,) = [e for e in events if e["event"] == "explained"]
+    explainer = make_explainer("lrptrans", model)
+    residuals = np.abs([explainer.explain(ds.record(i)).conservation_residual
+                        for i in range(3)])
+    assert explained["records"] == 3 and explained["ms_per_record"] > 0
+    assert explained["residual_median"] == pytest.approx(np.median(residuals),
+                                                         rel=1e-9, abs=1e-12)
+    assert explained["residual_max_abs"] == pytest.approx(residuals.max(),
+                                                          rel=1e-9, abs=1e-12)
+
+
 def test_perturb_emits_curves_and_summary(workdir):
     assert run(["perturb", "--checkpoint", str(workdir / "model.npz"),
                 "--data", str(workdir / "data.npz"), "--out", str(workdir),
@@ -217,6 +239,38 @@ def test_data_errors_exit_2(workdir, tmp_path):
               for line in (tmp_path / "log.jsonl").read_text().splitlines()]
     assert [(e["command"], e["exit"]) for e in events if e["event"] == "error"] \
         == [("train", 2), ("eval", 2), ("explain", 2)]
+
+
+@pytest.mark.parametrize("header", [b"[]", b"7", b'{"version": 1, "arrays": 5}'])
+def test_malformed_dataset_header_exits_2(workdir, tmp_path, capsys, header):
+    import struct
+
+    from icuxai.fileio import MAGIC
+
+    bad = tmp_path / "data.npz"
+    bad.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header)
+    assert run(["eval", "--checkpoint", str(workdir / "model.npz"),
+                "--data", str(bad), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed header" in err
+
+
+def test_preprocess_logs_the_unlabeled_stay(tmp_path):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    write_corpus(raw, n=10, steps=20)
+    out = tmp_path / "run"
+    with pytest.warns(UserWarning, match="no label"):
+        assert run(["preprocess", "--events", str(raw / "events.csv"),
+                    "--notes", str(raw / "notes.jsonl"),
+                    "--vitals", str(raw / "vitals.csv"),
+                    "--labels", str(raw / "labels.csv"), "--out", str(out),
+                    "--steps", "20", "--min-count", "1",
+                    "--max-words", "16"]) == 0
+    events = [json.loads(line) for line in (out / "log.jsonl").read_text().splitlines()]
+    unlabeled = [e for e in events if e["event"] == "unlabeled-stays"]
+    assert unlabeled == [{"event": "unlabeled-stays", "count": 1,
+                          "stays": ["nolabel"]}]
 
 
 def test_numerical_errors_exit_3(workdir, tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icuxai import fileio
 from icuxai.errors import ParseError
@@ -126,6 +127,83 @@ def test_malformed_header_is_rejected(tmp_path):
     path.write_bytes(fileio.MAGIC + struct.pack("<Q", len(blob)) + blob)
     with pytest.raises(ParseError, match="malformed"):
         fileio.load_container(path)
+
+
+@pytest.mark.parametrize("blob", [b"[]", b"7", b'"text"', b"null"])
+def test_header_that_is_not_an_object_is_rejected(tmp_path, blob):
+    path = tmp_path / "c.bin"
+    path.write_bytes(fileio.MAGIC + struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(ParseError, match="malformed header"):
+        fileio.load_container(path)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda h: h.__setitem__("arrays", 5),
+    lambda h: h.__setitem__("arrays", {"x": 1}),
+    lambda h: h["arrays"][0].pop("nbytes"),
+    lambda h: h["arrays"].__setitem__(0, ["x", "<f8"]),
+    lambda h: h["arrays"][0].__setitem__("shape", 2),
+    lambda h: h["arrays"][0].__setitem__("shape", [-2]),
+    lambda h: h["arrays"][0].__setitem__("nbytes", "16"),
+    lambda h: h["arrays"][0].__setitem__("offset", 1.5),
+    lambda h: h["arrays"][0].__setitem__("name", ["x"]),
+    lambda h: h["arrays"][0].__setitem__("dtype", ["<f8"]),
+    lambda h: h.__setitem__("meta", []),
+], ids=["arrays-int", "arrays-dict", "no-nbytes", "entry-list", "shape-int",
+        "shape-negative", "nbytes-str", "offset-float", "name-list", "dtype-list",
+        "meta-list"])
+def test_malformed_array_entries_are_rejected(tmp_path, mutate):
+    path = tmp_path / "c.bin"
+    fileio.save_container(path, {"x": np.zeros(2)})
+    _rewrite_header(path, mutate)
+    with pytest.raises(ParseError):
+        fileio.load_container(path)
+
+
+def test_array_outside_the_payload_is_rejected(tmp_path):
+    path = tmp_path / "c.bin"
+    fileio.save_container(path, {"x": np.zeros(2)})
+    _rewrite_header(path, lambda h: h["arrays"][0].__setitem__("offset", 8))
+    with pytest.raises(ParseError, match="outside the payload"):
+        fileio.load_container(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "c.bin"
+
+
+@pytest.fixture(scope="module")
+def valid_container(fuzz_path):
+    fileio.save_container(fuzz_path, sample_arrays(), {"kind": "test", "ids": ["a"]})
+    return fuzz_path.read_bytes()
+
+
+def _load_or_parse_error(path, data: bytes) -> None:
+    """Load ``data`` as a container; any failure must be a ParseError."""
+    path.write_bytes(data)
+    try:
+        fileio.load_container(path)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.binary(max_size=512))
+def test_arbitrary_bytes_raise_only_parse_error(fuzz_path, data):
+    _load_or_parse_error(fuzz_path, fileio.MAGIC + data)
+    _load_or_parse_error(fuzz_path, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truncations_and_bit_flips_raise_only_parse_error(valid_container,
+                                                          fuzz_path, data):
+    raw = bytearray(valid_container)
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), max_size=4)):
+        raw[bit // 8] ^= 1 << (bit % 8)
+    cut = data.draw(st.integers(0, len(raw)))
+    _load_or_parse_error(fuzz_path, bytes(raw[:cut]))
 
 
 def test_complex_arrays_cannot_be_serialized(tmp_path):

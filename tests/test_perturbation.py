@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from icuxai.attribution import EXPLAINER_KINDS, AttributionReport, gi_attribute
+from icuxai.attribution import (EXPLAINER_KINDS, AttributionReport, gi_attribute,
+                                make_explainer)
 from icuxai.metrics import auc_roc
 from icuxai.model import ModelConfig, TriModalNet
 from icuxai.perturbation import (
@@ -17,6 +18,7 @@ from icuxai.perturbation import (
     perturbation_curve,
     plot_table,
     rank_features,
+    _rank_units,
 )
 from icuxai.records import (CLS_ID, PAD_ID, EventSequence, MultimodalDataset,
                             MultimodalRecord, NoteTokens, VitalSigns)
@@ -94,6 +96,52 @@ def test_rank_features_skips_cls_and_pad():
     assert ("notes", 1) in units
     with pytest.raises(ValueError):
         rank_features(rep, order="sideways")
+
+
+def _rank_by_sort(report, order="ascending"):
+    """The unit list as one Python sort, the reference for the array ranking."""
+    units = []
+    for idx, value in enumerate(report.events.ravel()):
+        units.append((abs(value), 0, "events", idx))
+    for idx, tid in enumerate(report.note_ids):
+        if tid not in (PAD_ID, CLS_ID):
+            units.append((abs(report.notes[idx]), 1, "notes", idx))
+    for idx, value in enumerate(report.vitals.ravel()):
+        units.append((abs(value), 2, "vitals", idx))
+    units.sort(key=lambda u: (-u[0] if order == "descending" else u[0], u[1], u[3]))
+    return [(modality, idx) for _, _, modality, idx in units]
+
+
+def tied_report(seed, words):
+    """Attributions on a coarse grid of both signs, so |a| ties within and
+    across modalities; ``words`` real tokens follow [CLS], then [PAD]."""
+    rng = np.random.default_rng(seed)
+    ids = np.full(7, PAD_ID, dtype=np.int64)
+    ids[0] = CLS_ID
+    ids[1:1 + words] = rng.integers(3, 20, size=words)
+
+    def grid(*shape):
+        return rng.integers(-3, 4, size=shape) * 0.5
+
+    return tiny_report(grid(3, 4), ids, grid(7), grid(5, 2))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("words", [0, 1, 3, 6])
+def test_array_ranking_equals_the_sorted_unit_list(order, words):
+    for seed in range(5):
+        rep = tied_report(seed, words)
+        assert rank_features(rep, order) == _rank_by_sort(rep, order)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_cohort_ranking_ranks_each_report_alone(order):
+    reports = [tied_report(seed, words) for seed, words in enumerate((0, 2, 6, 4))]
+    columns, count = _rank_units(reports, order)
+    for i, rep in enumerate(reports):
+        alone, n = _rank_units([rep], order)
+        assert count[i] == n[0] == len(_rank_by_sort(rep))
+        assert columns[i].tolist() == alone[0].tolist()
 
 
 # --- removal -------------------------------------------------------------------------
@@ -230,6 +278,40 @@ def test_compare_explainers_covers_all_kinds(trained):
     lines = table.strip().split("\n")
     assert lines[0].split() == ["fraction"] + list(EXPLAINER_KINDS)
     assert len(lines) == 4
+
+
+def _curve_one_record_at_a_time(model, dataset, kind, order, steps):
+    """AUC-ROC per removal fraction, each record explained alone and each
+    fraction rescored by its own predict call, unit by unit."""
+    explainer = make_explainer(kind, model, steps=steps)
+    rankings = [_rank_by_sort(explainer.explain(dataset.record(i)), order)
+                for i in range(len(dataset))]
+    aucs = []
+    for f in default_fractions():
+        events = dataset.events.copy()
+        notes = dataset.notes.copy()
+        vitals = dataset.vitals.copy()
+        for i, ranking in enumerate(rankings):
+            take = int(math.floor(float(f) * len(ranking)))
+            for modality, idx in ranking[:take]:
+                if modality == "events":
+                    events[i].reshape(-1)[idx] = 0.0
+                elif modality == "notes":
+                    notes[i, idx] = PAD_ID
+                else:
+                    vitals[i].reshape(-1)[idx] = 0.0
+        probs = model.predict_proba(events, notes, vitals)
+        aucs.append(auc_roc(dataset.labels, probs[:, 1]))
+    return aucs
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("kind", EXPLAINER_KINDS)
+def test_curve_matches_explaining_one_record_at_a_time(trained, kind, order):
+    model, test = trained
+    curve = perturbation_curve(model, test, kind, order=order, steps=3)
+    assert curve.auc_roc.tolist() == _curve_one_record_at_a_time(
+        model, test, kind, order, steps=3)
 
 
 def test_plot_table_rejects_mismatched_grids():
