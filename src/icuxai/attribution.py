@@ -251,11 +251,11 @@ def _cell_rows(model, arrays) -> int:
 
 def _recording_rows(model, arrays) -> int:
     """Cohort rows of a recording pass. Its tape keeps the activations,
-    which alone would fill the pass at a = ``_cell_rows`` rows, and the
-    scores and map of every attention, which alone would fill
-    ``_INFERENCE_ATTENTION_BYTES`` at b = ``pass_rows(keep_maps=True)``
-    rows. Holding both, it takes a * b / (a + b) rows: 251 at desk
-    geometry, 1 at paper geometry."""
+    which alone would fill the pass at a = ``_cell_rows`` rows, and every
+    attention's map, which ``pass_rows(keep_maps=True)`` counts twice (as
+    scores and map) against ``_INFERENCE_ATTENTION_BYTES``: b rows.
+    Holding both, it takes a * b / (a + b) rows: 251 at desk geometry, 1
+    at paper geometry."""
     a = _cell_rows(model, arrays)
     b = model.pass_rows(*arrays, keep_maps=True)
     return max(1, a * b // (a + b))
@@ -325,6 +325,19 @@ def midpoint_alphas(steps: int) -> np.ndarray:
     return (np.arange(1, steps + 1) - 0.5) / steps
 
 
+def _ig_pass(model, frozen: FrozenState, arrays, alphas: np.ndarray,
+             target_class: int) -> dict[str, np.ndarray]:
+    """Input gradients of one replayed pass: the record repeated once per
+    alpha, row ``i`` probed at ``alphas[i]``. The pass's tape lives only
+    inside this call, so it is freed before the next pass records."""
+    ctx = Context(tape=Tape(), params=model.params, mode="attribution",
+                  frozen=frozen.start_replay(), input_scale=alphas)
+    out = model.forward(ctx, *(np.repeat(a, alphas.size, axis=0) for a in arrays))
+    ad.backward(ad.slice_(out, (slice(None), target_class)),
+                seed=np.ones(alphas.size), wrt=ctx.probes.values())
+    return {m: _probe_grad(ctx, m) for m in MODALITIES}
+
+
 def integrated_gradients(model, records, target_class: int = 1, steps: int = 20):
     """Path-integrated gradients from an all-zero baseline.
 
@@ -368,14 +381,10 @@ def integrated_gradients(model, records, target_class: int = 1, steps: int = 20)
         per_pass = _cell_rows(model, arrays)
         acc: dict[str, np.ndarray] = {}
         for start in range(0, alphas.size, per_pass):
-            rows = alphas[start:start + per_pass]
-            ctx = Context(tape=Tape(), params=model.params, mode="attribution",
-                          frozen=frozen.start_replay(), input_scale=rows)
-            out = model.forward(ctx, *(np.repeat(a, rows.size, axis=0) for a in arrays))
-            ad.backward(ad.slice_(out, (slice(None), target_class)),
-                        seed=np.ones(rows.size), wrt=ctx.probes.values())
+            grads = _ig_pass(model, frozen, arrays, alphas[start:start + per_pass],
+                             target_class)
             for m in MODALITIES:
-                for g in _probe_grad(ctx, m):
+                for g in grads[m]:
                     acc[m] = acc[m] + g if m in acc else g
         r = {m: end.probes[m].data[0] * (acc[m] / steps) for m in MODALITIES}
         return [(logits.data[0, target_class], r["events"], r["notes"].sum(axis=-1),

@@ -20,13 +20,47 @@ all hard errors.
 
 Tapes are single-writer: record from one thread only. Once the forward
 pass is done, concurrent reads of values and gradients are safe.
+
+Training steps and explainer passes each free their whole tape before
+the next one records, so on glibc the importing process keeps
+``HEAP_TOP_PAD`` bytes of free heap instead of handing it back to the
+system at once; see :func:`_pad_heap_top`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+#: free heap that glibc keeps at the top of the heap when it trims
+HEAP_TOP_PAD = 64 << 20
+
+
+def _pad_heap_top() -> None:
+    """Set glibc's ``M_TOP_PAD`` to ``HEAP_TOP_PAD``, unless the
+    ``MALLOC_TOP_PAD_`` environment variable already sets it.
+
+    When a pass frees its tape, the freed block sits at the top of the
+    heap, and glibc returns it to the system once it exceeds its trim
+    threshold; the next pass then takes a page fault on every page of
+    its own tape. At desk geometry that was about 75 000 minor faults
+    per training epoch, a sixth of the epoch's time. The pad keeps up to
+    ``HEAP_TOP_PAD`` of that block for reuse; it is filled only by
+    memory a pass has already used, so the peak is unchanged. A no-op
+    where ``mallopt`` is missing (not glibc).
+    """
+    if "MALLOC_TOP_PAD_" in os.environ:
+        return
+    try:
+        ctypes.CDLL(None).mallopt(-2, HEAP_TOP_PAD)   # -2 is M_TOP_PAD
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
+_pad_heap_top()
 
 __all__ = [
     "NonFiniteError",
@@ -54,6 +88,8 @@ __all__ = [
     "sqrt",
     "relu",
     "softmax_over_axis",
+    "attention_map",
+    "dropout_matmul",
     "scale",
     "broadcast_to",
     "gather_rows",
@@ -405,21 +441,18 @@ def relu(x: Tensor) -> Tensor:
     return x.tape._record("relu", (x.node_id,), {}, value)
 
 
-def softmax_over_axis(x: Tensor, axis: int = -1, factor: float = 1.0,
-                      mask=None) -> Tensor:
-    """Numerically stable ``softmax(x * factor + mask)`` as one node.
-
-    ``mask`` is an optional additive constant array (attention padding)
-    that broadcasts to ``x``'s shape; it receives no gradient. The value
-    is bit-identical to recording ``scale``, ``add`` and a plain softmax
-    in turn, with the same finite checks, but the intermediate arrays are
-    computed in one buffer and only the probabilities stay on the tape.
-    Max subtraction happens internally.
-    """
+def _finite_factor(factor) -> float:
     factor = float(factor)
     if not np.isfinite(factor):
         raise NonFiniteError("scale factor must be finite")
-    z = x.data * factor
+    return factor
+
+
+def _softmax_in_place(z: np.ndarray, axis: int, factor: float, mask) -> np.ndarray:
+    """``softmax(z * factor + mask)`` over ``axis``, computed in ``z``'s own
+    buffer with the finite checks of recording ``scale``, ``add`` and a
+    plain softmax in turn. Max subtraction happens internally."""
+    z *= factor
     _check_finite("scale", z)
     if mask is not None:
         with np.errstate(all="ignore"):
@@ -429,14 +462,96 @@ def softmax_over_axis(x: Tensor, axis: int = -1, factor: float = 1.0,
     np.exp(z, out=z)
     z /= np.sum(z, axis=axis, keepdims=True)
     _check_finite("softmax-over-axis", z)
+    return z
+
+
+def softmax_over_axis(x: Tensor, axis: int = -1, factor: float = 1.0,
+                      mask=None) -> Tensor:
+    """Numerically stable ``softmax(x * factor + mask)`` as one node.
+
+    ``mask`` is an optional additive constant array (attention padding)
+    that broadcasts to ``x``'s shape; it receives no gradient. The value
+    is bit-identical to recording ``scale``, ``add`` and a plain softmax
+    in turn, with the same finite checks, but the intermediate arrays are
+    computed in one buffer and only the probabilities stay on the tape.
+    """
+    factor = _finite_factor(factor)
+    z = _softmax_in_place(np.array(x.data, dtype=np.float64), axis, factor, mask)
     return x.tape._record("softmax-over-axis", (x.node_id,),
                           {"axis": axis, "factor": factor}, z)
 
 
+def attention_map(q, k, factor: float = 1.0, mask=None) -> Tensor:
+    """Attention probabilities ``softmax(q @ k^T * factor + mask)`` over
+    the last axis, as one node.
+
+    ``k^T`` swaps ``k``'s last two axes; leading axes broadcast as in
+    :func:`matmul`. The value is bit-identical to recording
+    ``matmul(q, transpose(k))`` and then :func:`softmax_over_axis` with
+    the same ``factor`` and ``mask``, with the same finite checks, but the
+    scores never reach the tape: the softmax runs in the product's buffer
+    and the tape keeps only the map. The backward rebuilds nothing; it
+    needs the map and the two inputs.
+    """
+    tape = _tape_of(q, k)
+    q = _coerce(tape, q)
+    k = _coerce(tape, k)
+    if q.ndim < 2 or k.ndim < 2:
+        raise ValueError("attention-map operands must have at least 2 dimensions")
+    if q.data.shape[-1] != k.data.shape[-1]:
+        raise ValueError(
+            f"attention-map query and key widths differ: {q.data.shape} vs {k.data.shape}")
+    factor = _finite_factor(factor)
+    with np.errstate(all="ignore"):
+        z = q.data @ np.swapaxes(k.data, -1, -2)
+    _check_finite("matmul", z)
+    _softmax_in_place(z, -1, factor, mask)
+    return tape._record("attention-map", (q.node_id, k.node_id), {"factor": factor}, z)
+
+
+def dropout_matmul(x, w, keep: np.ndarray, factor: float) -> Tensor:
+    """Inverted dropout of ``x`` folded into the product that consumes it:
+    ``((x * keep) * factor) @ w`` as one node.
+
+    ``keep`` is a boolean array of ``x``'s shape (True where a unit is
+    kept) and ``factor`` the ``1 / (1 - rate)`` rescale; both are
+    constants of the node. Multiplying by ``True`` is exact and the
+    rescale rounds once, so the value is bit-identical to recording a
+    float mask leaf holding ``keep / (1 - rate)``, a ``mul`` and a
+    ``matmul``. Only the product stays on the tape, with ``keep`` in the
+    node's context at one byte per element; the backward rebuilds the
+    dropped ``x`` when ``w`` needs a gradient.
+    """
+    tape = _tape_of(x, w)
+    x = _coerce(tape, x)
+    w = _coerce(tape, w)
+    keep = np.asarray(keep)
+    if keep.dtype != np.bool_ or keep.shape != x.data.shape:
+        raise ValueError(f"dropout keep mask must be a boolean array of shape "
+                         f"{x.data.shape}, got {keep.dtype} {keep.shape}")
+    if x.ndim < 2 or w.ndim < 2:
+        raise ValueError("matmul operands must have at least 2 dimensions")
+    if x.data.shape[-1] != w.data.shape[-2]:
+        raise ValueError(
+            f"matmul inner dimensions do not agree: {x.data.shape} @ {w.data.shape}")
+    factor = _finite_factor(factor)
+    with np.errstate(all="ignore"):
+        value = _dropped(x.data, keep, factor) @ w.data
+    _check_finite("matmul", value)
+    return tape._record("dropout-matmul", (x.node_id, w.node_id),
+                        {"keep": keep, "factor": factor}, value)
+
+
+def _dropped(x: np.ndarray, keep: np.ndarray, factor: float) -> np.ndarray:
+    """``(x * keep) * factor``: the same bits as ``x`` times the float mask
+    ``keep / (1 - rate)``, signed zeros included."""
+    out = x * keep
+    out *= factor
+    return out
+
+
 def scale(x: Tensor, factor: float) -> Tensor:
-    factor = float(factor)
-    if not np.isfinite(factor):
-        raise NonFiniteError("scale factor must be finite")
+    factor = _finite_factor(factor)
     value = x.data * factor
     _check_finite("scale", value)
     return x.tape._record("scale", (x.node_id,), {"factor": factor}, value)
@@ -600,6 +715,39 @@ def _vjp_softmax(tape, nid, node, g, live):
     return ((node.inputs[0], out),)
 
 
+def _vjp_attention_map(tape, nid, node, g, live):
+    # the softmax rule gives the scores' gradient; the matmul and transpose
+    # rules then run on the views the unfused nodes would hold
+    qid, kid = node.inputs
+    p = tape.values[nid]
+    inner = np.sum(g * p, axis=-1, keepdims=True)
+    gs = p * (g - inner)
+    gs *= node.ctx["factor"]
+    vq = tape.values[qid]
+    kt = np.swapaxes(tape.values[kid], -1, -2)
+    out = []
+    if _on_path(live, qid):
+        out.append((qid, _reduce_to(gs @ np.swapaxes(kt, -1, -2), vq.shape)))
+    if _on_path(live, kid):
+        gkt = _reduce_to(np.swapaxes(vq, -1, -2) @ gs, kt.shape)
+        out.append((kid, np.swapaxes(gkt, -1, -2)))
+    return out
+
+
+def _vjp_dropout_matmul(tape, nid, node, g, live):
+    a, b = node.inputs
+    keep, factor = node.ctx["keep"], node.ctx["factor"]
+    va, vb = tape.values[a], tape.values[b]
+    out = []
+    if _on_path(live, a):
+        ga = _reduce_to(g @ np.swapaxes(vb, -1, -2), va.shape)
+        out.append((a, _dropped(ga, keep, factor)))
+    if _on_path(live, b):
+        dropped = _dropped(va, keep, factor)
+        out.append((b, _reduce_to(np.swapaxes(dropped, -1, -2) @ g, vb.shape)))
+    return out
+
+
 def _vjp_scale(tape, nid, node, g, live):
     return ((node.inputs[0], g * node.ctx["factor"]),)
 
@@ -632,6 +780,8 @@ _VJPS: dict[str, Callable] = {
     "sqrt": _vjp_sqrt,
     "relu": _vjp_relu,
     "softmax-over-axis": _vjp_softmax,
+    "attention-map": _vjp_attention_map,
+    "dropout-matmul": _vjp_dropout_matmul,
     "scale": _vjp_scale,
     "broadcast": _vjp_broadcast,
     "gather-rows": _vjp_gather,

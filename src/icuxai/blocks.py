@@ -184,13 +184,22 @@ def pool_first(x: Tensor) -> Tensor:
     return ad.slice_(x, (slice(None), 0))
 
 
-def _dropout(ctx: Context, x: Tensor, rate: float) -> Tensor:
-    """Inverted dropout; active only in standard mode with an rng attached."""
+def _dropout(ctx: Context, shape: tuple[int, ...], rate: float) -> np.ndarray | None:
+    """Keep mask of inverted dropout: a boolean array of ``shape``, True
+    where a unit is kept, drawn as ``rng.random(shape) < 1 - rate``. None
+    when dropout is off: a zero rate, no rng, or attribution mode."""
     if rate <= 0.0 or ctx.rng is None or ctx.attribution:
-        return x
-    keep = 1.0 - rate
-    mask = (ctx.rng.random(x.data.shape) < keep).astype(np.float64) / keep
-    return ad.mul(x, ctx.tape.leaf(mask))
+        return None
+    return ctx.rng.random(shape) < 1.0 - rate
+
+
+def _dropout_matmul(ctx: Context, x: Tensor, w: Tensor, rate: float) -> Tensor:
+    """``dropout(x) @ w``, with the dropout folded into the product as
+    one ``dropout-matmul`` node; a plain ``matmul`` when dropout is off."""
+    keep = _dropout(ctx, x.data.shape, rate)
+    if keep is None:
+        return ad.matmul(x, w)
+    return ad.dropout_matmul(x, w, keep, 1.0 / (1.0 - rate))
 
 
 @dataclass
@@ -223,8 +232,10 @@ class Linear:
         self.n_in = n_in
         self.n_out = n_out
 
-    def forward(self, ctx: Context, x: Tensor) -> Tensor:
-        out = ad.matmul(x, ctx.param(self.w))
+    def forward(self, ctx: Context, x: Tensor, dropout: float = 0.0) -> Tensor:
+        """``dropout(x) @ W (+ b)``; ``dropout`` is the rate applied to
+        ``x`` (active only in standard mode with an rng attached)."""
+        out = _dropout_matmul(ctx, x, ctx.param(self.w), dropout)
         if self.b is not None:
             out = ad.add(out, ctx.param(self.b))
         return out
@@ -269,12 +280,14 @@ class LayerNorm:
 class MultiHeadAttention:
     """Scaled dot-product self-attention with per-head projections.
 
-    The scaling, the additive padding mask and the softmax are one
-    ``softmax-over-axis`` node, so the tape holds two (batch, heads, L, L)
-    values per attention: the ``q @ k^T`` scores and the map ``p``. The
-    mask is a constant and gets no gradient. In attribution mode ``p`` is
-    detached, so the value path stays differentiable while the query/key
-    path receives exactly zero gradient.
+    The ``q @ k^T`` product, the scaling, the additive padding mask and
+    the softmax are one ``attention-map`` node, and the dropout of the map
+    is folded into the ``p @ v`` product (a ``dropout-matmul`` node that
+    keeps a boolean mask), so a recording tape holds one
+    (batch, heads, L, L) value per attention: the map ``p``. The mask is a
+    constant and gets no gradient. In attribution mode ``p`` is detached,
+    so the value path stays differentiable while the query/key path
+    receives exactly zero gradient.
     """
 
     def __init__(self, store: ParamStore, prefix: str, rng: np.random.Generator,
@@ -305,18 +318,15 @@ class MultiHeadAttention:
         else:
             q = self._split_heads(self.wq.forward(ctx, x), batch, length)
             k = self._split_heads(self.wk.forward(ctx, x), batch, length)
-            scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
-            p = ad.softmax_over_axis(
-                scores, axis=-1, factor=1.0 / np.sqrt(self.head_width),
-                mask=attn_mask)
+            p = ad.attention_map(q, k, factor=1.0 / np.sqrt(self.head_width),
+                                 mask=attn_mask)
             if ctx.capture is not None:
                 ctx.capture.setdefault(encoder, []).append(p.data)
             if ctx.attribution:
                 p = ad.detach(p)
                 if ctx.frozen is not None:
                     ctx.frozen.add("attn", p.data)
-        p = _dropout(ctx, p, dropout)
-        mixed = ad.matmul(p, v)  # (batch, heads, length, head_width)
+        mixed = _dropout_matmul(ctx, p, v, dropout)  # (batch, heads, length, head_width)
         mixed = ad.transpose(mixed, (0, 2, 1, 3))
         mixed = ad.reshape(mixed, (batch, length, self.width))
         return self.wo.forward(ctx, mixed)
@@ -340,13 +350,12 @@ class TransformerBlock:
         attended = self.attn.forward(ctx, x, attn_mask, encoder, self.cfg.dropout)
         a = self.ln1.forward(ctx, ad.add(x, attended))
         f = ad.relu(self.ffn1.forward(ctx, a))
-        f = _dropout(ctx, f, self.cfg.dropout)
-        f = self.ffn2.forward(ctx, f)
+        f = self.ffn2.forward(ctx, f, dropout=self.cfg.dropout)
         return self.ln2.forward(ctx, ad.add(a, f))
 
 
 def additive_attention_mask(valid: np.ndarray) -> np.ndarray:
     """Turn a boolean (batch, length) validity mask into an additive
     (batch, 1, 1, length) array of 0 / MASK_VALUE. It is a constant of
-    the softmax node, not a tape value."""
+    the attention-map node, not a tape value."""
     return np.where(valid, 0.0, MASK_VALUE)[:, None, None, :]

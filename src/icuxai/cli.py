@@ -10,7 +10,9 @@ Every ``log.jsonl`` line is a JSON object with an ``event`` key:
 
 * ``start``: ``command``, ``options``, ``inputs``;
 * progress events: ``epoch`` (train; ``epoch``, ``loss``, ``lr``,
-  ``val_auc``), ``metrics`` (eval), ``explained`` (explain; ``explainer``,
+  ``val_auc``, the epoch's ``wall_s``, ``records_per_s`` over the
+  optimizer steps, and the largest and mean pre-clip gradient norm over
+  the steps as ``grad_norm_max`` and ``grad_norm_mean``), ``metrics`` (eval), ``explained`` (explain; ``explainer``,
   ``records``, ``ms_per_record``, and the median and largest
   ``|conservation residual|`` over the cohort as ``residual_median`` and
   ``residual_max_abs``), ``perturbation-curve`` (perturb),

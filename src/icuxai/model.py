@@ -40,7 +40,7 @@ from .blocks import (
     pool_first,
     sinusoidal_positions,
 )
-from .errors import CheckpointError
+from .errors import CheckpointError, SchemaError
 from .records import (
     MODALITIES,
     PAD_ID,
@@ -184,8 +184,8 @@ class TriModalNet:
         ids = check_notes(ids, self.config.vocab_size)
         length = ids.shape[1]
         if length > self.config.note_len:
-            raise ValueError(f"note length {length} exceeds the position table "
-                             f"({self.config.note_len})")
+            raise SchemaError(f"note length {length} exceeds the position table "
+                              f"({self.config.note_len})")
         emb = ad.gather_rows(ctx.param("notes.embed"), ids)
         if not self.config.bias_free:
             pos = ad.slice_(ctx.param("notes.pos"), (slice(0, length),))
@@ -214,7 +214,14 @@ class TriModalNet:
                 active: tuple[str, ...] = MODALITIES) -> Tensor:
         """Class logits (batch, 2). ``active`` selects which encoders run;
         the representations of inactive modalities are zeroed (the
-        single-modality ablation used by the evaluation harness)."""
+        single-modality ablation used by the evaluation harness).
+
+        An active modality's input must fit the config, else
+        :class:`~icuxai.errors.SchemaError`: ``event_hours`` hours of
+        ``event_dim`` features, ``vitals_steps`` steps of
+        ``vitals_channels`` channels, and notes of at most ``note_len``
+        token ids below ``vocab_size`` (shorter notes are allowed). The
+        encoders on their own take any number of hours or steps."""
         for m in active:
             if m not in MODALITIES:
                 raise ValueError(f"unknown modality {m!r}")
@@ -225,6 +232,13 @@ class TriModalNet:
         if len(batch) != 1:
             raise ValueError(f"modality batch sizes disagree: {sorted(batch)}")
         (n,) = batch
+        for name, arr, axis_name, expected in (
+                ("events", events, "hours", self.config.event_hours),
+                ("vitals", vitals, "timesteps", self.config.vitals_steps)):
+            shape = np.shape(arr)
+            if name in active and len(shape) == 3 and shape[1] != expected:
+                raise SchemaError(f"{name} grid has {shape[1]} {axis_name}, the "
+                                  f"model expects {expected}")
         zeros = None
         reps = []
         for name, encode, arr in (("events", self._events_rep, events),
@@ -242,12 +256,17 @@ class TriModalNet:
 
     def pass_rows(self, *arrays, keep_maps: bool = False) -> int:
         """The most rows of ``arrays`` one forward pass takes: as many as
-        fit the float64 (heads, L, L) attention arrays the pass holds into
-        ``_INFERENCE_ATTENTION_BYTES``. A pass that drops each attention's
-        arrays once it is done holds two at a time, the scores and the
-        softmax map, with L the longest input sequence. With ``keep_maps``
-        it keeps both for every encoder block, as a recording tape or an
-        attention capture does."""
+        fit two float64 (heads, L, L) attention arrays per attention, the
+        scores and the softmax map, into ``_INFERENCE_ATTENTION_BYTES``.
+        Without ``keep_maps`` one attention is counted, with L the longest
+        input sequence; with it, every encoder block's.
+
+        The rule overcounts by design. The scores live only inside the
+        ``attention-map`` node, whose softmax runs in their buffer, so a
+        pass holds one such array per attention at a time, and a recording
+        tape or an attention capture keeps one map per block. The count
+        stays at two because the rows per pass set how BLAS rounds a
+        cohort's last ulps: changing it would change batched outputs."""
         c = self.config
         lengths = [a.shape[1] for a in arrays if a.ndim > 1]
         if keep_maps:

@@ -13,6 +13,7 @@ validation AUC-ROC with a fixed patience and restores the best weights.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,6 +214,26 @@ class TrainResult:
     stopped_early: bool = False
 
 
+def _train_step(model, dataset: MultimodalDataset, batch: np.ndarray, config: TrainConfig,
+                optimizer: Adam, rng: np.random.Generator, lr: float, epoch: int,
+                active: tuple[str, ...]) -> tuple[float, float]:
+    """One optimizer step on the records ``batch``: forward, backward,
+    clip and update. Returns the batch loss and the global gradient norm
+    before clipping. The step's tape lives only inside this call, so it
+    is freed before the next step's forward records its first node."""
+    ctx = Context(tape=Tape(), params=model.params, rng=rng)
+    logits = model.forward(ctx, dataset.events[batch], dataset.notes[batch],
+                           dataset.vitals[batch], active)
+    loss = weighted_ce_from_logits(logits, dataset.labels[batch], config.class_weight)
+    ad.backward(loss, wrt=ctx.param_leaves())
+    grads, norm = clip_global_norm(ctx.param_grads(), config.clip_norm)
+    try:
+        optimizer.step(model.params, grads, lr)
+    except NonFiniteError as e:
+        raise NonFiniteError(f"epoch {epoch}: {e}") from e
+    return float(loss.data), norm
+
+
 def train_model(model, dataset: MultimodalDataset, config: TrainConfig,
                 train_idx=None, val_idx=None,
                 active: tuple[str, ...] = MODALITIES,
@@ -222,6 +243,13 @@ def train_model(model, dataset: MultimodalDataset, config: TrainConfig,
     When ``val_idx`` is provided, validation AUC-ROC drives early
     stopping (patience from the config) and the best-epoch weights are
     restored before returning.
+
+    ``log_fn`` receives one ``epoch`` event per epoch: the history entry
+    (``epoch``, ``loss``, ``lr`` and ``val_auc`` with a validation split)
+    plus ``wall_s`` (the epoch's wall time, validation included),
+    ``records_per_s`` (records trained per second of the optimizer steps)
+    and the largest and mean global gradient norm before clipping over
+    the epoch's steps (``grad_norm_max``, ``grad_norm_mean``).
     """
     labels = dataset.labels
     train_idx = np.arange(len(dataset)) if train_idx is None \
@@ -239,22 +267,17 @@ def train_model(model, dataset: MultimodalDataset, config: TrainConfig,
     best_state = None
     bad_epochs = 0
     for epoch in range(config.epochs):
+        started = time.perf_counter()
         lr = lr_schedule(config.learning_rate, epoch)
         order = rng.permutation(pool.size)
-        losses = []
+        losses, norms = [], []
         for start in range(0, pool.size, config.batch_size):
             batch = pool[order[start:start + config.batch_size]]
-            ctx = Context(tape=Tape(), params=model.params, rng=rng)
-            logits = model.forward(ctx, dataset.events[batch], dataset.notes[batch],
-                                   dataset.vitals[batch], active)
-            loss = weighted_ce_from_logits(logits, labels[batch], config.class_weight)
-            ad.backward(loss, wrt=ctx.param_leaves())
-            grads, _ = clip_global_norm(ctx.param_grads(), config.clip_norm)
-            try:
-                optimizer.step(model.params, grads, lr)
-            except NonFiniteError as e:
-                raise NonFiniteError(f"epoch {epoch}: {e}") from e
-            losses.append(float(loss.data))
+            loss, norm = _train_step(model, dataset, batch, config, optimizer, rng,
+                                     lr, epoch, active)
+            losses.append(loss)
+            norms.append(norm)
+        step_s = time.perf_counter() - started
         entry = {"epoch": epoch, "loss": float(np.mean(losses)), "lr": lr}
         if val_idx is not None and val_idx.size:
             probs = model.predict_proba(dataset.events[val_idx], dataset.notes[val_idx],
@@ -270,7 +293,11 @@ def train_model(model, dataset: MultimodalDataset, config: TrainConfig,
                 bad_epochs += 1
         result.history.append(entry)
         if log_fn is not None:
-            log_fn({"event": "epoch", **entry})
+            log_fn({"event": "epoch", **entry,
+                    "wall_s": time.perf_counter() - started,
+                    "records_per_s": pool.size / step_s,
+                    "grad_norm_max": max(norms),
+                    "grad_norm_mean": math.fsum(norms) / len(norms)})
         if val_idx is not None and bad_epochs >= config.patience:
             result.stopped_early = True
             break

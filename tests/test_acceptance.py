@@ -132,6 +132,9 @@ def _primitive_cases():
     rngw = np.random.default_rng(7)
     w = rngw.normal(size=(4, 3))
     idx = np.array([[0, 2], [1, 1]])
+    keep = np.array([[True, False, True, True], [True, True, False, True],
+                     [False, True, True, True]])
+    pad = np.where([[True, True, False], [True, False, False]], 0.0, -1e9)[:, None, None, :]
 
     def red(y):
         return ad.sum_over_axis(ad.mul(y, y))
@@ -158,6 +161,11 @@ def _primitive_cases():
         ("sqrt", (3, 3), lambda x: red(ad.sqrt(plus_one(x, (3, 3))))),
         ("relu", (3, 4), lambda x: red(ad.relu(x))),
         ("softmax-over-axis", (3, 4), lambda x: red(ad.softmax_over_axis(x, axis=-1))),
+        # both operands carry the leaf, so both halves of each rule are checked
+        ("attention-map", (2, 2, 3, 4), lambda x: red(ad.attention_map(
+            x, ad.scale(x, 0.5), factor=0.7, mask=pad))),
+        ("dropout-matmul", (3, 4), lambda x: red(ad.dropout_matmul(
+            x, ad.transpose(x, (1, 0)), keep, 1.0 / 0.75))),
         ("scale", (3, 4), lambda x: red(ad.scale(x, -2.5))),
         ("broadcast", (1, 4), lambda x: red(ad.broadcast_to(x, (3, 4)))),
         ("gather-rows", (4, 3), lambda x: red(ad.gather_rows(x, idx))),

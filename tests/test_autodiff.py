@@ -23,14 +23,36 @@ def _leaf(arr, tape=None):
     return tape.leaf(np.asarray(arr, dtype=np.float64))
 
 
+# --- heap padding ---------------------------------------------------------
+
+def test_heap_top_pad_is_set_unless_the_environment_sets_it(monkeypatch):
+    calls = []
+
+    class FakeLibc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: FakeLibc())
+    monkeypatch.delenv("MALLOC_TOP_PAD_", raising=False)
+    ad._pad_heap_top()
+    assert calls == [(-2, ad.HEAP_TOP_PAD)]  # M_TOP_PAD
+    monkeypatch.setenv("MALLOC_TOP_PAD_", "0")
+    ad._pad_heap_top()
+    assert len(calls) == 1
+    monkeypatch.delenv("MALLOC_TOP_PAD_")
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: object())  # no mallopt
+    ad._pad_heap_top()
+
+
 # --- forward values -------------------------------------------------------
 
 def test_primitive_registry_is_complete():
     expected = {
         "add", "sub", "mul", "div", "matmul", "transpose", "reshape",
         "concat", "slice", "sum-over-axis", "mean-over-axis", "max-over-axis",
-        "exp", "log", "sqrt", "relu", "softmax-over-axis", "scale",
-        "broadcast", "gather-rows", "detach",
+        "exp", "log", "sqrt", "relu", "softmax-over-axis", "attention-map",
+        "dropout-matmul", "scale", "broadcast", "gather-rows", "detach",
     }
     assert set(ad.PRIMITIVE_KINDS) == expected
 
@@ -83,6 +105,138 @@ def test_scaled_masked_softmax_is_one_node_matching_the_chain_bitwise():
     assert [node.kind for node in t.nodes[:2]] == ["leaf", "softmax-over-axis"]
     assert np.array_equal(p.data, pc.data)
     assert np.array_equal(x.grad, xc.grad)
+
+
+def _bytes(arr):
+    return None if arr is None else (arr.shape, arr.tobytes())
+
+
+def _split_heads(t, batch, length, heads):
+    t = ad.reshape(t, (batch, length, heads, t.shape[-1] // heads))
+    return ad.transpose(t, (0, 2, 1, 3))
+
+
+@pytest.mark.parametrize("wrt", [None, "qk", "q", "k"])
+def test_attention_map_matches_matmul_transpose_softmax_bitwise(wrt):
+    # the old composition: scores = q @ transpose(k), then the one-node
+    # scaled masked softmax; q and k are head views of projections, as in
+    # attention, at batch 3 and 2 heads
+    rng = np.random.default_rng(21)
+    batch, length, heads, width = 3, 5, 2, 8
+    xq = rng.normal(size=(batch, length, width)) * 2.0
+    xk = rng.normal(size=(batch, length, width)) * 2.0
+    mask = np.where(rng.random((batch, 1, 1, length)) < 0.3, -1e9, 0.0)
+    weights = rng.normal(size=(batch, heads, length, length))
+    factor = 1.0 / np.sqrt(width // heads)
+
+    def run(fused):
+        t = Tape()
+        lq, lk = t.leaf(xq), t.leaf(xk)
+        q = _split_heads(lq, batch, length, heads)
+        k = _split_heads(lk, batch, length, heads)
+        if fused:
+            p = ad.attention_map(q, k, factor=factor, mask=mask)
+        else:
+            p = ad.softmax_over_axis(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
+                                     axis=-1, factor=factor, mask=mask)
+        leaves = {"q": [lq], "k": [lk], "qk": [lq, lk], None: None}[wrt]
+        backward(ad.sum_over_axis(ad.mul(p, t.leaf(weights))), wrt=leaves)
+        return t, p, lq, lk
+
+    t, p, lq, lk = run(fused=True)
+    _, pc, lqc, lkc = run(fused=False)
+    assert p.shape == (batch, heads, length, length)
+    assert [n.kind for n in t.nodes].count("attention-map") == 1
+    assert "matmul" not in {n.kind for n in t.nodes}
+    assert _bytes(p.data) == _bytes(pc.data)
+    assert _bytes(lq.grad) == _bytes(lqc.grad)
+    assert _bytes(lk.grad) == _bytes(lkc.grad)
+    if wrt in ("q", "k"):
+        other = lk if wrt == "q" else lq
+        assert other.grad is None
+
+
+@pytest.mark.parametrize("geometry", ["attention", "ffn"])
+@pytest.mark.parametrize("wrt", [None, "xw", "x", "w"])
+def test_dropout_matmul_matches_mask_leaf_mul_matmul_bitwise(geometry, wrt):
+    # the old composition: a float64 mask leaf keep / (1 - rate), a mul,
+    # then the matmul; signed zeros must match too, so bytes are compared
+    rng = np.random.default_rng(22)
+    if geometry == "attention":   # p (batch, heads, L, L) @ v (batch, heads, L, hw)
+        x0, w0 = rng.normal(size=(3, 2, 5, 5)), rng.normal(size=(3, 2, 5, 4))
+    else:                         # relu(h) (batch, L, ffn) @ w (ffn, width)
+        x0, w0 = rng.normal(size=(3, 5, 6)), rng.normal(size=(6, 4))
+    rate = 0.3
+    keep = rng.random(x0.shape) < 1.0 - rate
+    weights = rng.normal(size=(x0 @ w0).shape)
+
+    def run(fused):
+        t = Tape()
+        x, w = t.leaf(x0), t.leaf(w0)
+        if fused:
+            y = ad.dropout_matmul(x, w, keep, 1.0 / (1.0 - rate))
+        else:
+            mask = keep.astype(np.float64) / (1.0 - rate)
+            y = ad.matmul(ad.mul(x, t.leaf(mask)), w)
+        leaves = {"x": [x], "w": [w], "xw": [x, w], None: None}[wrt]
+        backward(ad.sum_over_axis(ad.mul(y, t.leaf(weights))), wrt=leaves)
+        return t, y, x, w
+
+    t, y, x, w = run(fused=True)
+    _, yc, xc, wc = run(fused=False)
+    assert [n.kind for n in t.nodes[:3]] == ["leaf", "leaf", "dropout-matmul"]
+    assert _bytes(y.data) == _bytes(yc.data)
+    assert _bytes(x.grad) == _bytes(xc.grad)
+    assert _bytes(w.grad) == _bytes(wc.grad)
+    if wrt in ("xw", "x", None):
+        assert not np.any(x.grad[~keep])
+        assert np.signbit(x.grad[~keep]).any()  # dropped units carry signed zeros
+    if wrt in ("x", "w"):
+        assert (w if wrt == "x" else x).grad is None
+
+
+def test_dropout_matmul_rejects_a_float_or_misshapen_keep_mask():
+    t = Tape()
+    x, w = t.leaf(np.ones((2, 3))), t.leaf(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="boolean"):
+        ad.dropout_matmul(x, w, np.ones((2, 3)), 2.0)
+    with pytest.raises(ValueError, match="boolean"):
+        ad.dropout_matmul(x, w, np.ones((1, 3), dtype=bool), 2.0)
+    with pytest.raises(NonFiniteError):
+        ad.dropout_matmul(x, w, np.ones((2, 3), dtype=bool), np.inf)
+
+
+def test_attention_map_keeps_the_matmul_scale_and_mask_finite_checks():
+    t = Tape()
+    q = t.leaf([[1e200, 1.0]])
+    k = t.leaf([[1e200, 1.0]])
+    with pytest.raises(NonFiniteError, match="matmul"):
+        ad.attention_map(q, k)
+    big = t.leaf([[1e308, 0.0]])
+    one = t.leaf([[1.0, 0.0]])
+    with pytest.raises(NonFiniteError, match="scale"), np.errstate(over="ignore"):
+        ad.attention_map(big, one, factor=10.0)
+    with pytest.raises(NonFiniteError, match="add"):
+        ad.attention_map(big, one, mask=np.array([1e308]))
+    with pytest.raises(ValueError, match="widths differ"):
+        ad.attention_map(t.leaf(np.ones((2, 3))), t.leaf(np.ones((2, 4))))
+
+
+def test_epsilon_lrp_has_no_rule_for_the_fused_attention_and_dropout_nodes():
+    from icuxai.attribution import relevance_propagate
+
+    rng = np.random.default_rng(23)
+    t = Tape()
+    x = t.leaf(rng.normal(size=(2, 3, 4)))
+    p = ad.attention_map(x, x, factor=0.5)
+    with pytest.raises(ValueError, match="no rule for primitive 'attention-map'"):
+        relevance_propagate(ad.sum_over_axis(p), {"x": x})
+    t = Tape()
+    x = t.leaf(rng.normal(size=(2, 3, 4)))
+    y = ad.dropout_matmul(x, t.leaf(rng.normal(size=(4, 2))),
+                          rng.random((2, 3, 4)) < 0.5, 2.0)
+    with pytest.raises(ValueError, match="no rule for primitive 'dropout-matmul'"):
+        relevance_propagate(ad.sum_over_axis(y), {"x": x})
 
 
 def test_scaled_masked_softmax_keeps_the_scale_and_mask_finite_checks():
@@ -387,21 +541,37 @@ def test_backward_wrt_params_matches_full_backward_on_model_loss():
             assert pruned.tape.grads[nid] is None
 
 
-def test_model_forward_holds_scores_and_one_softmax_value_per_attention():
-    # scale, padding mask and softmax are one node: of the attention-sized
-    # values only the q @ k^T scores and the map p stay on the tape
+def test_model_forward_holds_one_map_per_attention_and_no_mask_leaf():
+    # q @ k^T, scale, padding mask and softmax are one attention-map node,
+    # and each dropout is a boolean mask inside the next product: of the
+    # attention-sized values only the map p stays on the tape, with or
+    # without dropout, and every leaf is a parameter, a data grid, a
+    # positional table or a LayerNorm epsilon
     from icuxai.blocks import Context
 
     net, events, notes, vitals = _desk_net_and_batch()
-    ctx = Context(tape=Tape(), params=net.params)
-    net.forward(ctx, events, notes, vitals)
     heads = net.config.heads
-    for length in (12, 24):  # events have L = 12; notes and vitals share L = 24
-        kinds = [node.kind for node, v in zip(ctx.tape.nodes, ctx.tape.values)
-                 if v.shape == (4, heads, length, length)]
-        attentions = 1 if length == 12 else 2
-        assert sorted(kinds) == ["matmul"] * attentions + ["softmax-over-axis"] * attentions
-    assert "broadcast" not in {node.kind for node in ctx.tape.nodes}
+    for rng in (None, np.random.default_rng(11)):
+        ctx = Context(tape=Tape(), params=net.params, rng=rng)
+        net.forward(ctx, events, notes, vitals)
+        tape = ctx.tape
+        for length in (12, 24):  # events have L = 12; notes and vitals share L = 24
+            kinds = [node.kind for node, v in zip(tape.nodes, tape.values)
+                     if v.shape == (4, heads, length, length)]
+            attentions = 1 if length == 12 else 2
+            assert kinds == ["attention-map"] * attentions
+        params = {t.node_id for t in ctx.param_leaves()}
+        other_leaves = [tape.values[nid].shape for nid, node in enumerate(tape.nodes)
+                        if node.kind == "leaf" and nid not in params]
+        # two LayerNorms per block, three blocks
+        assert sorted(other_leaves) == sorted(
+            [events.shape, vitals.shape, (12, 16), (24, 16)] + [(1,)] * 6)
+        fused = [node for node in tape.nodes if node.kind == "dropout-matmul"]
+        # one in each block's attention and one in its FFN
+        assert len(fused) == (0 if rng is None else 6)
+        assert all(node.ctx["keep"].dtype == np.bool_ for node in fused)
+        assert not {node.kind for node in tape.nodes} & {"broadcast",
+                                                         "softmax-over-axis"}
 
 
 # --- non-recording tapes ----------------------------------------------------
@@ -455,6 +625,8 @@ def _fd_scalar_cases():
     rngw = np.random.default_rng(7)
     w_small = rngw.normal(size=(4, 3))
     idx = np.array([[0, 2], [1, 1]])
+    keep = np.array([[True, False, True, True], [True, True, False, True],
+                     [False, True, True, True]])
 
     def red(y):
         return ad.sum_over_axis(ad.mul(y, y)) if y.data.size > 1 or y.data.ndim \
@@ -480,6 +652,11 @@ def _fd_scalar_cases():
         ("softmax-over-axis", (3, 4), lambda x: red(ad.softmax_over_axis(x, axis=-1))),
         ("softmax-over-axis-scaled-masked", (3, 4), lambda x: red(ad.softmax_over_axis(
             x, axis=-1, factor=0.7, mask=np.array([0.0, -2.0, 0.0, -1e9])))),
+        ("attention-map", (2, 2, 3, 4), lambda x: red(ad.attention_map(
+            x, ad.scale(x, 0.5), factor=0.7,
+            mask=np.array([[0.0, 0.0, -1e9], [0.0, -1e9, -1e9]])[:, None, None, :]))),
+        ("dropout-matmul", (3, 4), lambda x: red(ad.dropout_matmul(
+            x, ad.transpose(x, (1, 0)), keep, 1.0 / 0.75))),
         ("scale", (3, 4), lambda x: red(ad.scale(x, -2.5))),
         ("broadcast", (1, 4), lambda x: red(ad.broadcast_to(x, (3, 4)))),
         ("gather-rows", (4, 3), lambda x: red(ad.gather_rows(x, idx))),

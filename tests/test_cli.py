@@ -384,6 +384,43 @@ def test_train_logs_one_epoch_event_per_history_row(workdir):
     assert done["split_sizes"] == {"train": 77, "val": 19, "test": 24}
 
 
+def test_train_epoch_events_carry_wall_time_throughput_and_grad_norms(workdir):
+    events = [json.loads(line)
+              for line in (workdir / "log.jsonl").read_text().splitlines()]
+    epochs = [e for e in events if e["event"] == "epoch"]
+    assert epochs
+    for e in epochs:
+        assert set(e) == {"event", "epoch", "loss", "lr", "val_auc", "wall_s",
+                          "records_per_s", "grad_norm_max", "grad_norm_mean"}
+        assert e["wall_s"] > 0.0 and e["records_per_s"] > 0.0
+        assert e["grad_norm_max"] >= e["grad_norm_mean"] > 0.0
+
+
+@pytest.mark.parametrize("modality,synth_flag,value,message", [
+    ("events", "--hours", "7", "events grid has 7 hours, the model expects 6"),
+    ("notes", "--note-len", "12", "note length 12 exceeds the position table (10)"),
+    ("vitals", "--vitals-steps", "9",
+     "vitals grid has 9 timesteps, the model expects 8"),
+])
+def test_eval_and_explain_reject_a_dataset_off_the_model_geometry(
+        modality, synth_flag, value, message, workdir, tmp_path, capsys):
+    argv = list(SYNTH_ARGS)
+    argv[argv.index(synth_flag) + 1] = value
+    other = tmp_path / "other"
+    assert run(["synth", "--out", str(other)] + argv) == 0
+    model = ["--checkpoint", str(workdir / "model.npz"),
+             "--data", str(other / "data.npz")]
+    for command, extra in (("eval", ["--split", "all"]),
+                           ("explain", ["--kinds", "lrptrans", "--ids", "syn-00001"])):
+        out = tmp_path / command
+        capsys.readouterr()
+        assert run([command] + model + extra + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        last = json.loads((out / "log.jsonl").read_text().splitlines()[-1])
+        assert last == {"event": "error", "command": command, "exit": 2,
+                        "message": message}
+
+
 def test_csv_floats_read_back_exactly(tmp_path):
     values = [np.float64(1) / 3, 0.1 + 0.2, np.float32(0.1), 2.0 ** -60]
     _write_csv(tmp_path / "x.csv", ("name", "value", "n"),

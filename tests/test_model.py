@@ -87,10 +87,26 @@ def test_unknown_token_id_is_rejected(small_model):
         encode(small_model, "notes", ids)
 
 
+@pytest.mark.parametrize("modality,axis_name", [("events", "hours"),
+                                                 ("vitals", "timesteps")])
+def test_forward_rejects_a_grid_length_off_the_config(small_model, modality, axis_name):
+    events, notes, vitals = small_batch()
+    grids = {"events": events, "vitals": vitals}
+    expected = grids[modality].shape[1]
+    grids[modality] = np.concatenate([grids[modality]] * 2, axis=1)
+    ctx = Context(tape=Tape(record=False), params=small_model.params)
+    with pytest.raises(SchemaError, match=f"{modality} grid has {2 * expected} "
+                                          f"{axis_name}, the model expects {expected}"):
+        small_model.forward(ctx, grids["events"], notes, grids["vitals"])
+    # an inactive modality is not encoded, so its length is not checked
+    active = tuple(m for m in ("events", "notes", "vitals") if m != modality)
+    small_model.forward(ctx, grids["events"], notes, grids["vitals"], active=active)
+
+
 def test_note_longer_than_position_table_is_rejected(small_model):
     ids = np.full(9, PAD_ID, dtype=np.int64)  # note_len = 8
     ids[0] = CLS_ID
-    with pytest.raises(ValueError, match="position table"):
+    with pytest.raises(SchemaError, match="position table"):
         encode(small_model, "notes", ids)
 
 

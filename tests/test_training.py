@@ -1,11 +1,14 @@
 """Training-engine tests: loss, optimizer, schedule, splits, CV."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from icuxai import autodiff as ad
+from icuxai import training as training_module
+from icuxai.attribution import integrated_gradients
 from icuxai.autodiff import NonFiniteError, Tape
 from icuxai.model import ModelConfig, TriModalNet
 from icuxai.records import CLS_ID, PAD_ID, MultimodalDataset
@@ -333,3 +336,76 @@ def test_train_config_validation():
         TrainConfig(dropout=1.0)
     with pytest.raises(ValueError, match="class_weight"):
         TrainConfig(class_weight=0.0)
+
+
+# --- tape lifetime and per-epoch figures ----------------------------------------------
+
+def _watch_recording_tapes(monkeypatch) -> list:
+    """Wrap ``TriModalNet.forward``: when a forward on a recording tape
+    starts, before it records its first node, every earlier forward's
+    recording tape must already be freed. Returns the weak references."""
+    seen = []
+    real_forward = TriModalNet.forward
+
+    def forward(self, ctx, *args, **kwargs):
+        if ctx.tape.record:
+            alive = sum(ref() is not None for ref in seen)
+            assert alive == 0, f"{alive} earlier recording tape(s) still alive"
+            seen.append(weakref.ref(ctx.tape))
+        return real_forward(self, ctx, *args, **kwargs)
+
+    monkeypatch.setattr(TriModalNet, "forward", forward)
+    return seen
+
+
+def test_each_training_step_frees_its_tape_before_the_next_forward(monkeypatch):
+    seen = _watch_recording_tapes(monkeypatch)
+    ds = separable_dataset(n=20, seed=6)
+    model = TriModalNet(ModelConfig(**dict(TINY, dropout=0.2), seed=6))
+    config = TrainConfig(batch_size=4, learning_rate=0.01, epochs=2,
+                         upsample=False, seed=0)
+    train_model(model, ds, config, np.arange(14), np.arange(14, 20))
+    assert len(seen) == 2 * 4  # ceil(14 / 4) steps per epoch
+
+
+def test_each_ig_pass_frees_its_tape_before_the_next_forward(monkeypatch):
+    ds = separable_dataset(n=4, seed=7)
+    model = TriModalNet(ModelConfig(**TINY, seed=7))
+    cells = TINY["width"] * (TINY["event_hours"] + TINY["note_len"]
+                             + TINY["vitals_steps"])
+    monkeypatch.setattr("icuxai.attribution._IG_CELL_CAP", 3 * cells)
+    seen = _watch_recording_tapes(monkeypatch)
+    integrated_gradients(model, [ds.record(0), ds.record(1)], steps=7)
+    assert len(seen) == 2 * 3  # per record, alphas in passes of 3, 3 and 1
+
+
+def test_epoch_event_reports_wall_time_throughput_and_pre_clip_grad_norms(monkeypatch):
+    norms = []
+    real_clip = training_module.clip_global_norm
+
+    def recording_clip(grads, max_norm):
+        out = real_clip(grads, max_norm)
+        norms.append(out[1])
+        return out
+
+    monkeypatch.setattr(training_module, "clip_global_norm", recording_clip)
+    ds = separable_dataset(n=20, seed=5)
+    model = TriModalNet(ModelConfig(**TINY, seed=5))
+    config = TrainConfig(batch_size=8, learning_rate=0.01, epochs=2,
+                         upsample=False, clip_norm=1e-3, seed=0)
+    events = []
+    result = train_model(model, ds, config, np.arange(14), np.arange(14, 20),
+                         log_fn=events.append)
+    assert len(norms) == 2 * 2 and len(events) == len(result.history) == 2
+    for event, entry, step_norms in zip(events, result.history,
+                                        (norms[:2], norms[2:])):
+        # the history entry is unchanged; the event adds the new figures
+        assert set(entry) == {"epoch", "loss", "lr", "val_auc"}
+        assert event == {"event": "epoch", **entry, "wall_s": event["wall_s"],
+                         "records_per_s": event["records_per_s"],
+                         "grad_norm_max": max(step_norms),
+                         "grad_norm_mean": math.fsum(step_norms) / 2}
+        assert event["grad_norm_max"] > config.clip_norm  # taken before clipping
+        assert event["wall_s"] > 0.0
+        assert event["records_per_s"] >= 14 / event["wall_s"]
+
