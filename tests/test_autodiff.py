@@ -118,7 +118,7 @@ def _split_heads(t, batch, length, heads):
 
 @pytest.mark.parametrize("wrt", [None, "qk", "q", "k"])
 def test_attention_map_matches_matmul_transpose_softmax_bitwise(wrt):
-    # the old composition: scores = q @ transpose(k), then the one-node
+    # the unfused reference: scores = q @ transpose(k), then the one-node
     # scaled masked softmax; q and k are head views of projections, as in
     # attention, at batch 3 and 2 heads
     rng = np.random.default_rng(21)
@@ -159,7 +159,7 @@ def test_attention_map_matches_matmul_transpose_softmax_bitwise(wrt):
 @pytest.mark.parametrize("geometry", ["attention", "ffn"])
 @pytest.mark.parametrize("wrt", [None, "xw", "x", "w"])
 def test_dropout_matmul_matches_mask_leaf_mul_matmul_bitwise(geometry, wrt):
-    # the old composition: a float64 mask leaf keep / (1 - rate), a mul,
+    # the unfused reference: a float64 mask leaf keep / (1 - rate), a mul,
     # then the matmul; signed zeros must match too, so bytes are compared
     rng = np.random.default_rng(22)
     if geometry == "attention":   # p (batch, heads, L, L) @ v (batch, heads, L, hw)
