@@ -16,8 +16,9 @@ Every ``log.jsonl`` line is a JSON object with an ``event`` key:
   ``records``, ``ms_per_record``, and the median and largest
   ``|conservation residual|`` over the cohort as ``residual_median`` and
   ``residual_max_abs``), ``perturbation-curve`` (perturb),
-  ``unmatched-stays``, ``unlabeled-stays`` and ``rejected-stays``
-  (preprocess);
+  ``unmatched-stays``, ``unlabeled-stays``, ``rejected-stays`` and
+  ``preprocess-timing`` (preprocess; seconds per stage and rows read per
+  file);
 * ``done``: ``command``, ``elapsed_s`` and the subcommand's counts;
 * ``error``: ``command``, ``exit``, ``message``, in place of ``done``.
 

@@ -30,11 +30,14 @@ from __future__ import annotations
 import csv
 import json
 import re
+import time
 import warnings
 import zlib
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -84,14 +87,9 @@ def impute_series(values: np.ndarray, observed: np.ndarray, normal: float) -> np
     observed = np.asarray(observed)
     if values.shape != observed.shape or values.ndim != 1:
         raise SchemaError("impute_series wants matching 1-D value/mask arrays")
-    out = values.copy()
-    last = float(normal)
-    for i in range(out.shape[0]):
-        if observed[i]:
-            last = out[i]
-        else:
-            out[i] = last
-    return out
+    latest = np.where(observed.astype(bool), np.arange(values.shape[0]), -1)
+    np.maximum.accumulate(latest, out=latest)
+    return np.where(latest >= 0, values[latest], float(normal))
 
 
 # --- normal-value configuration --------------------------------------------------
@@ -437,12 +435,65 @@ class VitalsPreprocessor:
         self.stats_: dict[str, tuple[float, float]] | None = None
 
     def _binned(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """(steps, channels) grid of last-in-bin values plus observed mask."""
-        values = np.zeros((self.steps, len(self.channels)))
-        when = np.full((self.steps, len(self.channels)), -np.inf)
-        observed = np.zeros((self.steps, len(self.channels)))
-        index = {name: i for i, name in enumerate(self.channels)}
+        """(steps, channels) grid of last-in-bin values plus observed mask.
+
+        A bin keeps the in-window row with the largest time; on an exact
+        tie the later row wins. Every row must name a known channel and a
+        finite time, and every in-window row a finite value, wherever it
+        falls in the file.
+        """
+        width = len(self.channels)
+        values = np.zeros((self.steps, width))
+        observed = np.zeros((self.steps, width))
         per_hour = self.steps / self.hours
+        rows = list(rows)
+        index = {name: i for i, name in enumerate(self.channels)}
+        columns = self._columns(rows, index)
+        if columns is None:
+            columns = self._columns_by_row(rows, index)
+        code, t, value = columns
+        bins = np.minimum((t * per_hour).astype(np.intp), self.steps - 1)
+        cell = bins * width + code
+        order = np.lexsort((t, cell))   # stable: on a tie the later row sorts last
+        cell = cell[order]
+        last = np.ones(cell.shape, dtype=bool)
+        last[:-1] = cell[1:] != cell[:-1]
+        values.reshape(-1)[cell[last]] = value[order[last]]
+        observed.reshape(-1)[cell[last]] = 1.0
+        return values, observed
+
+    def _columns(self, rows: list, index: dict):
+        """Channel index, time and value arrays of the in-window rows,
+        parsed a column at a time; None if any row is malformed."""
+        try:
+            if not set(map(len, rows)) <= {3}:
+                return None
+            names, times, raw = list(zip(*rows)) or ((), (), ())
+            codes = {}
+            for name in dict.fromkeys(names):
+                channel = index.get(str(name).strip().lower())
+                if channel is None:
+                    return None
+                codes[name] = channel
+            t = np.array(times, dtype=np.float64)
+            if t.shape != (len(rows),) or not np.isfinite(t).all():
+                return None
+            code = np.fromiter(map(codes.__getitem__, names), np.intp, len(rows))
+            inside = (t >= 0.0) & (t < self.hours)
+            if not inside.all():
+                t, code = t[inside], code[inside]
+                raw = list(compress(raw, inside.tolist()))
+            value = np.array(raw, dtype=np.float64)
+            if value.shape != t.shape or not np.isfinite(value).all():
+                return None
+        except (TypeError, ValueError, OverflowError):
+            return None
+        return code, t, value
+
+    def _columns_by_row(self, rows: list, index: dict):
+        """``_columns`` one row at a time, so the first malformed row in
+        file order raises its own ``ParseError``."""
+        kept = []
         for row in rows:
             try:
                 channel, t_raw, value = row
@@ -453,14 +504,11 @@ class VitalsPreprocessor:
             if channel not in index:
                 raise ParseError(f"unknown vitals channel {channel!r}")
             t = _to_float(t_raw, "vitals time")
-            if not 0.0 <= t < self.hours:
-                continue
-            b, c = min(int(t * per_hour), self.steps - 1), index[channel]
-            if t >= when[b, c]:
-                when[b, c] = t
-                values[b, c] = _to_float(value, f"{channel} value")
-                observed[b, c] = 1.0
-        return values, observed
+            if 0.0 <= t < self.hours:
+                kept.append((index[channel], t, _to_float(value, f"{channel} value")))
+        code, t, value = list(zip(*kept)) or ((), (), ())
+        return (np.array(code, dtype=np.intp), np.array(t, dtype=np.float64),
+                np.array(value, dtype=np.float64))
 
     def missing_fractions(self, rows) -> dict[str, float]:
         """Per-channel share of empty bins before imputation."""
@@ -508,33 +556,47 @@ class VitalsPreprocessor:
 
 
 def _open_rows(path, what: str, columns: tuple[str, ...]):
+    """Yield each row's ``columns`` as a tuple of strings, in that order.
+
+    Columns are found by header name; blank lines are skipped, and a row
+    with fewer fields than the header raises ``ParseError``.
+    """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{what} file {path} does not exist")
     with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = set(reader.fieldnames or ())
-        missing = set(columns) - header
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        position = {name: i for i, name in enumerate(header)}
+        missing = set(columns) - set(position)
         if missing:
             raise ParseError(f"{what} file {path} is missing columns "
                              f"{sorted(missing)}")
-        yield from reader
+        pick = itemgetter(*(position[name] for name in columns))
+        width = len(header)
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                raise ParseError(f"{what} file {path} line {reader.line_num}: "
+                                 f"{len(row)} fields where the header has {width}")
+            yield pick(row)
 
 
 def read_events_csv(path) -> dict[str, list[tuple[str, str, str]]]:
     """Group an events export by stay id, preserving file order."""
     stays: dict[str, list] = {}
-    for row in _open_rows(path, "events", ("stay_id", "time", "feature", "value")):
-        stays.setdefault(row["stay_id"], []).append(
-            (row["time"], row["feature"], row["value"]))
+    for stay, t, feature, value in _open_rows(
+            path, "events", ("stay_id", "time", "feature", "value")):
+        stays.setdefault(stay, []).append((t, feature, value))
     return stays
 
 
 def read_vitals_csv(path) -> dict[str, list[tuple[str, str, str]]]:
     stays: dict[str, list] = {}
-    for row in _open_rows(path, "vitals", ("stay_id", "channel", "time", "value")):
-        stays.setdefault(row["stay_id"], []).append(
-            (row["channel"], row["time"], row["value"]))
+    for stay, channel, t, value in _open_rows(
+            path, "vitals", ("stay_id", "channel", "time", "value")):
+        stays.setdefault(stay, []).append((channel, t, value))
     return stays
 
 
@@ -561,14 +623,13 @@ def read_notes_jsonl(path) -> dict[str, list[dict]]:
 
 def read_labels_csv(path) -> dict[str, int]:
     labels: dict[str, int] = {}
-    for row in _open_rows(path, "labels", ("stay_id", "label")):
-        stay = row["stay_id"]
+    for stay, label in _open_rows(path, "labels", ("stay_id", "label")):
         if stay in labels:
             raise ParseError(f"duplicate label for stay {stay!r}")
-        if row["label"] not in ("0", "1"):
+        if label not in ("0", "1"):
             raise ParseError(f"label for stay {stay!r} must be 0 or 1, "
-                             f"got {row['label']!r}")
-        labels[stay] = int(row["label"])
+                             f"got {label!r}")
+        labels[stay] = int(label)
     return labels
 
 
@@ -680,12 +741,16 @@ def build_dataset(events_path, notes_path, vitals_path, labels_path, *,
     split deterministically, and normalized with statistics fit on the
     training stays only. The returned dataset's ``meta`` carries the
     split, the fitted statistics, the vocabulary and the rejected ids.
+    With ``log_fn``, a closing ``preprocess-timing`` event gives each
+    stage's seconds and the rows read from each file.
     """
     table = table if table is not None else NormalValueTable.load()
+    stamps = [time.perf_counter()]    # one more after each stage
     event_rows = read_events_csv(events_path)
     note_rows = read_notes_jsonl(notes_path)
     vitals_rows = read_vitals_csv(vitals_path)
     labels = read_labels_csv(labels_path)
+    stamps.append(time.perf_counter())
 
     matched = match_modalities(event_rows, note_rows, vitals_rows, log_fn=log_fn)
 
@@ -697,6 +762,7 @@ def build_dataset(events_path, notes_path, vitals_path, labels_path, *,
             log_fn({"event": "unlabeled-stays", "count": len(unlabeled),
                     "stays": unlabeled})
         matched = [s for s in matched if s in labels]
+    stamps.append(time.perf_counter())
 
     screen = VitalsPreprocessor(table, steps=steps, hours=hours)
     rejected = []
@@ -711,12 +777,14 @@ def build_dataset(events_path, notes_path, vitals_path, labels_path, *,
     if rejected and log_fn is not None:
         log_fn({"event": "rejected-stays", "count": len(rejected),
                 "stays": rejected})
+    stamps.append(time.perf_counter())
 
     split = split_stays(kept, fractions=fractions, seed=seed)
     pipeline = Pipeline.fit(event_rows, note_rows, vitals_rows, split["train"],
                             table=table, max_words=max_words,
                             min_count=min_count, stoplist=stoplist,
                             hours=hours, steps=steps)
+    stamps.append(time.perf_counter())
 
     events, masks, notes, vitals, ys = [], [], [], [], []
     for stay in kept:
@@ -726,6 +794,15 @@ def build_dataset(events_path, notes_path, vitals_path, labels_path, *,
         notes.append(pipeline.notes.transform(note_rows[stay], stay=stay).ids)
         vitals.append(pipeline.vitals.transform(vitals_rows[stay], stay=stay).values)
         ys.append(labels[stay])
+    stamps.append(time.perf_counter())
+    if log_fn is not None:
+        stages = ("read_s", "match_s", "screen_s", "fit_s", "transform_s")
+        log_fn({"event": "preprocess-timing",
+                **{stage: b - a for stage, a, b in zip(stages, stamps, stamps[1:])},
+                "rows": {"events": sum(map(len, event_rows.values())),
+                         "notes": sum(map(len, note_rows.values())),
+                         "vitals": sum(map(len, vitals_rows.values())),
+                         "labels": len(labels)}})
 
     meta = {
         "kind": "preprocessed",

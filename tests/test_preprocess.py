@@ -1,6 +1,7 @@
 """Preprocessing: grids, tokenization, binning, matching, assembly."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,29 @@ def test_impute_series_fills_leading_and_interior_gaps():
     out = impute_series(np.array([0.0, 5.0, 0.0, 7.0, 0.0]),
                         np.array([0, 1, 0, 1, 0]), normal=2.0)
     assert out.tolist() == [2.0, 5.0, 5.0, 7.0, 7.0]
+
+
+def impute_by_loop(values, observed, normal):
+    """Reference forward fill, one position at a time."""
+    out = np.array(values, dtype=np.float64)
+    last = float(normal)
+    for i in range(out.shape[0]):
+        if observed[i]:
+            last = out[i]
+        else:
+            out[i] = last
+    return out
+
+
+@given(st.lists(st.tuples(st.floats(width=64), st.sampled_from([0, 1, 0.0, 1.0, True,
+                                                                False, 0.5]))),
+       st.floats(allow_nan=False))
+def test_impute_series_equals_the_loop_bit_for_bit(cells, normal):
+    values = np.array([v for v, _ in cells], dtype=np.float64)
+    observed = np.array([o for _, o in cells])
+    out = impute_series(values, observed, normal)
+    assert out.dtype == np.float64
+    assert out.tobytes() == impute_by_loop(values, observed, normal).tobytes()
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40), st.data())
@@ -367,6 +391,117 @@ def test_vitals_parse_errors_are_distinct_from_rejection():
         pre.transform(full_coverage_rows())
 
 
+def binned_by_row(pre, rows):
+    """Reference binning, one row at a time: an in-window row takes its
+    bin when its time is at least that of the bin's row so far."""
+    values = np.zeros((pre.steps, len(pre.channels)))
+    when = np.full_like(values, -np.inf)
+    observed = np.zeros_like(values)
+    index = {name: i for i, name in enumerate(pre.channels)}
+    per_hour = pre.steps / pre.hours
+    for channel, t_raw, value in rows:
+        c = index[str(channel).strip().lower()]
+        t = float(t_raw)
+        if not 0.0 <= t < pre.hours:
+            continue
+        b = min(int(t * per_hour), pre.steps - 1)
+        if t >= when[b, c]:
+            when[b, c], values[b, c], observed[b, c] = t, float(value), 1.0
+    return values, observed
+
+
+# 9 bins over 7 hours: bin edges are inexact, and the largest time below
+# 7 lands on 9.0 before the clamp into the last bin
+EDGE_STEPS, EDGE_HOURS = 9, 7
+BELOW_HOURS = float(np.nextafter(EDGE_HOURS, 0.0))
+EDGE_TIMES = ([k * EDGE_HOURS / EDGE_STEPS for k in range(EDGE_STEPS + 1)]
+              + [float(EDGE_HOURS), BELOW_HOURS, 0.0, -0.0, -1e-300, -0.5, 8.0])
+
+
+def spelled(draw, x):
+    return draw(st.sampled_from([x, repr(x), f" {x!r} "]))
+
+
+@st.composite
+def vitals_rows(draw):
+    name = draw(st.sampled_from(["pulse", "cvp", "spo2", "heart rate"]))
+    name = draw(st.sampled_from([name, name.upper(), name.title(), f"  {name}\t"]))
+    t = draw(st.sampled_from(EDGE_TIMES) | st.floats(-1.0, 8.0))
+    value = draw(st.floats(allow_nan=False, allow_infinity=False))
+    return (name, spelled(draw, t), spelled(draw, value))
+
+
+def test_edge_geometry_reaches_the_last_bin_clamp():
+    assert int(BELOW_HOURS * (EDGE_STEPS / EDGE_HOURS)) == EDGE_STEPS
+
+
+@given(st.lists(vitals_rows(), max_size=40), st.booleans(), st.randoms())
+def test_binned_equals_the_row_loop_bit_for_bit(rows, as_generator, rng):
+    rows += [rows[i] for i in rng.sample(range(len(rows)), len(rows) // 3)]
+    rng.shuffle(rows)       # repeated rows give exact timestamp ties
+    pre = VitalsPreprocessor(TABLE, steps=EDGE_STEPS, hours=EDGE_HOURS)
+    values, observed = pre._binned(iter(rows) if as_generator else rows)
+    want_values, want_observed = binned_by_row(pre, rows)
+    assert values.dtype == observed.dtype == np.float64
+    assert values.tobytes() == want_values.tobytes()
+    assert observed.tobytes() == want_observed.tobytes()
+    # well-formed rows never take the row-by-row error path
+    index = {name: i for i, name in enumerate(pre.channels)}
+    assert pre._columns(rows, index) is not None
+
+
+def test_binned_tie_goes_to_the_later_row_and_empty_input_is_all_missing():
+    pre = VitalsPreprocessor(TABLE, steps=4)
+    col = TABLE.channel_names.index("cvp")
+    values, observed = pre._binned([("cvp", "1.0", "8"), ("CVP ", 1.0, 9.0),
+                                    ("cvp", 0.5, "7")])
+    assert values[0, col] == 9.0 and observed[:, col].tolist() == [1, 0, 0, 0]
+    for empty in ([], iter(())):
+        values, observed = pre._binned(empty)
+        assert values.shape == observed.shape == (4, 21)
+        assert not values.any() and not observed.any()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([("cvp", 1.0)], r"vitals row \('cvp', 1.0\) is not \(channel, time, value\)"),
+    ([None], r"vitals row None is not \(channel, time, value\)"),
+    ([("cvp", 1.0, 8.0, "mmHg")], r"vitals row .* is not \(channel, time, value\)"),
+    ([(" TelePathy ", 1.0, 3.0)], r"unknown vitals channel 'telepathy'"),
+    ([("cvp", "soon", 8.0)], r"vitals time 'soon' is not a number"),
+    ([("cvp", None, 8.0)], r"vitals time None is not a number"),
+    ([("cvp", "inf", 8.0)], r"vitals time 'inf' is not finite"),
+    ([("cvp", float("nan"), 8.0)], r"vitals time nan is not finite"),
+    ([("cvp", 1.0, "eight")], r"cvp value 'eight' is not a number"),
+    ([("Cvp", 1.0, "nan")], r"cvp value 'nan' is not finite"),
+    ([("cvp", 1.0, "")], r"cvp value '' is not a number"),
+])
+def test_binned_parse_error_messages(rows, message):
+    pre = VitalsPreprocessor(TABLE)
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        pre._binned([("pulse", 0.5, 70.0)] + rows)
+
+
+def test_binned_first_malformed_row_in_file_order_raises():
+    pre = VitalsPreprocessor(TABLE)
+    bad_value, bad_channel = ("cvp", 1.0, "x"), ("telepathy", 2.0, 3.0)
+    with pytest.raises(ParseError, match="cvp value 'x'"):
+        pre._binned([bad_value, bad_channel])
+    with pytest.raises(ParseError, match="unknown vitals channel"):
+        pre._binned([bad_channel, bad_value])
+
+
+def test_binned_bad_in_window_value_raises_wherever_the_row_falls():
+    pre = VitalsPreprocessor(TABLE)
+    winner, loser = ("cvp", 1.01, "8"), ("cvp", 1.0, "eight")   # both in bin 20
+    for rows in ([winner, loser], [loser, winner]):
+        with pytest.raises(ParseError, match="cvp value 'eight' is not a number"):
+            pre._binned(rows)
+    # outside the window the value is never read
+    values, observed = pre._binned([winner, ("cvp", 24.0, "eight"),
+                                    ("cvp", -1.0, "nan")])
+    assert observed.sum() == 1.0
+
+
 # --- matching ---------------------------------------------------------------------
 
 
@@ -437,6 +572,31 @@ def test_readers_group_rows_by_stay(tmp_path):
     grouped = read_events_csv(events)
     assert set(grouped) == {"a", "b"}
     assert grouped["a"] == [("0.5", "glucose", "100"), ("1.5", "ph", "7.3")]
+
+
+def test_csv_readers_pick_columns_by_header_name(tmp_path):
+    vitals = tmp_path / "v.csv"
+    vitals.write_text("value,unit,time,channel,stay_id\n"
+                      "8,mmHg,0.5,cvp,a\n\n70,bpm,1.0,pulse,a,extra\n")
+    assert read_vitals_csv(vitals) == {"a": [("cvp", "0.5", "8"),
+                                             ("pulse", "1.0", "70")]}
+
+
+@pytest.mark.parametrize("reader, what, text, line", [
+    (read_events_csv, "events",
+     "stay_id,time,feature,value\na,0.5,glucose,100\na,1.5,ph\n", 3),
+    (read_vitals_csv, "vitals",
+     "stay_id,channel,time,value\na,cvp,0.5,8\n\na,cvp,1.0\n", 4),
+    (read_labels_csv, "labels", "stay_id,label\na,0\nb\n", 3),
+])
+def test_csv_readers_reject_a_short_row_by_file_and_line(tmp_path, reader, what,
+                                                          text, line):
+    path = tmp_path / f"{what}.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=rf"^{what} file {re.escape(str(path))} "
+                                         rf"line {line}: \d fields where the header "
+                                         rf"has \d$"):
+        reader(path)
 
 
 # --- end-to-end assembly ------------------------------------------------------------
@@ -538,3 +698,28 @@ def test_build_dataset_split_changes_with_seed(tmp_path):
         b = build(tmp_path, seed=1)
     assert a.meta["split"] != b.meta["split"]
     assert a.ids == b.ids                          # membership is split-free
+
+
+def test_build_dataset_logs_stage_timings_and_rows_read(tmp_path):
+    write_corpus(tmp_path)
+    logged = []
+    with pytest.warns(UserWarning):
+        logged_ds = build(tmp_path, log_fn=logged.append)
+    with pytest.warns(UserWarning):
+        quiet_ds = build(tmp_path)
+    timing = logged[-1]
+    assert [e["event"] for e in logged].count("preprocess-timing") == 1
+    stages = ("read_s", "match_s", "screen_s", "fit_s", "transform_s")
+    assert set(timing) == {"event", "rows", *stages}
+    assert all(timing[s] >= 0.0 for s in stages)
+
+    def lines(name):
+        return len((tmp_path / name).read_text().splitlines())
+    assert timing["rows"] == {"events": lines("events.csv") - 1,
+                              "notes": lines("notes.jsonl"),
+                              "vitals": lines("vitals.csv") - 1,
+                              "labels": lines("labels.csv") - 1}
+    pa, pb = tmp_path / "logged.npz", tmp_path / "quiet.npz"
+    logged_ds.save(pa)
+    quiet_ds.save(pb)
+    assert pa.read_bytes() == pb.read_bytes()
