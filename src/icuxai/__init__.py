@@ -5,7 +5,7 @@ The package splits into a small stack of layers:
 * :mod:`icuxai.autodiff`     reverse-mode tape with an attribution mode
 * :mod:`icuxai.blocks`       attention / feed-forward / layer-norm blocks
 * :mod:`icuxai.model`        the three encoders plus late-fusion classifier
-* :mod:`icuxai.training`     loss, Adam, schedules, cross-validation
+* :mod:`icuxai.training`     loss, Adam, schedules, the training loop
 * :mod:`icuxai.metrics`      AUC-ROC / AUC-PR with exact tie handling
 * :mod:`icuxai.attribution`  six explainers behind one interface
 * :mod:`icuxai.perturbation` deletion-curve faithfulness evaluation
@@ -34,7 +34,7 @@ from .records import (CLS_ID, MODALITIES, PAD_ID, UNK_ID, EventSequence,
                       MultimodalDataset, MultimodalRecord, NoteTokens,
                       VitalSigns)
 from .synthetic import SyntheticSpec, generate_synthetic, ground_truth_json
-from .training import TrainConfig, TrainResult, cross_validate, train_model
+from .training import TrainConfig, TrainResult, train_model
 
 __all__ = [
     "AttributionReport", "EXPLAINER_KINDS", "Explainer",
@@ -53,6 +53,6 @@ __all__ = [
     "CLS_ID", "MODALITIES", "PAD_ID", "UNK_ID", "EventSequence",
     "MultimodalDataset", "MultimodalRecord", "NoteTokens", "VitalSigns",
     "SyntheticSpec", "generate_synthetic", "ground_truth_json",
-    "TrainConfig", "TrainResult", "cross_validate", "train_model",
+    "TrainConfig", "TrainResult", "train_model",
     "__version__",
 ]

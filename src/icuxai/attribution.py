@@ -29,7 +29,6 @@ a few batched passes instead of one pass per record.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 
@@ -111,44 +110,6 @@ class AttributionReport:
     def conservation_residual(self) -> float:
         """Target value minus the grand total of element attributions."""
         return self.target_value - self.total
-
-    # --- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "record_id": self.record_id,
-            "explainer": self.explainer,
-            "target_kind": self.target_kind,
-            "target_class": self.target_class,
-            "target_value": self.target_value,
-            "events": self.events.tolist(),
-            "notes": self.notes.tolist(),
-            "vitals": self.vitals.tolist(),
-            "note_ids": self.note_ids.tolist(),
-            "modality_sums": self.modality_sums(),
-            "conservation_residual": self.conservation_residual,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttributionReport":
-        return cls(
-            record_id=d["record_id"],
-            explainer=d["explainer"],
-            target_class=int(d["target_class"]),
-            target_value=float(d["target_value"]),
-            events=np.array(d["events"], dtype=np.float64),
-            notes=np.array(d["notes"], dtype=np.float64),
-            vitals=np.array(d["vitals"], dtype=np.float64),
-            note_ids=np.array(d["note_ids"], dtype=np.int64),
-            target_kind=d.get("target_kind", "logit"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AttributionReport":
-        return cls.from_dict(json.loads(text))
 
     def csv_rows(self) -> list[tuple[str, int, int, float]]:
         """Flat (modality, feature_id, time_index, attribution) rows.
@@ -234,44 +195,18 @@ def _build_report(record, explainer, target_class, target_value,
     )
 
 
-#: cap on the sequence positions x model width of one recording pass,
-#: whose rows are cohort records or one record's IG alphas. This is a
-#: proxy for the tape's memory, tuned only at desk geometry (273 rows
-#: per pass) and paper geometry (4 per pass). IG's replayed
-#: (1, heads, L, L) attention maps and (1, L, 1) LayerNorm denominators
-#: are held once per pass whatever the row count: binary ops and matmul
-#: broadcast them without a per-row copy.
-_IG_CELL_CAP = 1 << 18
-
-
-def _cell_rows(model, arrays) -> int:
-    cells = model.config.width * sum(a.shape[1] for a in arrays)
-    return max(1, _IG_CELL_CAP // cells)
-
-
-def _recording_rows(model, arrays) -> int:
-    """Cohort rows of a recording pass. Its tape keeps the activations,
-    which alone would fill the pass at a = ``_cell_rows`` rows, and every
-    attention's map, which ``pass_rows(keep_maps=True)`` counts twice (as
-    scores and map) against ``_INFERENCE_ATTENTION_BYTES``: b rows.
-    Holding both, it takes a * b / (a + b) rows: 251 at desk geometry, 1
-    at paper geometry."""
-    a = _cell_rows(model, arrays)
-    b = model.pass_rows(*arrays, keep_maps=True)
-    return max(1, a * b // (a + b))
-
-
-def _explain(model, records, name: str, target_class: int, rows, attribute):
+def _explain(model, records, name: str, target_class: int, kind, attribute):
     """One report per record, ``attribute`` run on stacked rows.
 
-    ``rows(model, arrays)`` caps the records per pass, and
-    ``attribute(chunk, events, notes, vitals)`` gives, per record of the
-    chunk, its target logit and its events, notes and vitals
-    attributions. Returns a report for a bare record, else a list.
+    ``model.pass_rows(kind, ...)`` caps the records per pass (one when
+    ``kind`` is None), and ``attribute(chunk, events, notes, vitals)``
+    gives, per record of the chunk, its target logit and its events,
+    notes and vitals attributions. Returns a report for a bare record,
+    else a list.
     """
     records, single = _cohort(records)
     arrays = _stacked(records)
-    step = rows(model, arrays)
+    step = model.pass_rows(kind, *arrays) if kind else 1
     reports = []
     for start in range(0, len(records), step):
         chunk = records[start:start + step]
@@ -291,9 +226,9 @@ def gi_attribute(model, records, target_class: int = 1, mode: str = "attribution
     what makes the decomposition additive; ``mode="standard"`` gives the
     plain gradient of the unmodified network for comparison.
 
-    A cohort runs as recording passes of ``_recording_rows`` records,
-    each one tape and one backward seeded with ones over the target
-    column: row ``i``'s input gradient is its own logit's.
+    A cohort runs as recording passes of as many records as fit the
+    byte budget, each one tape and one backward seeded with ones over the
+    target column: row ``i``'s input gradient is its own logit's.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -307,7 +242,7 @@ def gi_attribute(model, records, target_class: int = 1, mode: str = "attribution
         return list(zip(target.data, r["events"], r["notes"].sum(axis=-1), r["vitals"]))
 
     name = "lrptrans" if mode == "attribution" else "gradient-input"
-    return _explain(model, records, name, target_class, _recording_rows, attribute)
+    return _explain(model, records, name, target_class, "recording", attribute)
 
 
 # --- integrated gradients ------------------------------------------------------------
@@ -362,10 +297,10 @@ def integrated_gradients(model, records, target_class: int = 1, steps: int = 20)
     rows. Records do not interact in the network, so row ``i`` gets the
     gradient a pass at ``alpha_i`` alone would get, up to the last ulps
     BLAS rounds differently at another row count. The grid is cut into
-    chunks of at most ``_IG_CELL_CAP`` sequence positions x width cells
-    per pass, which bounds the tape's memory at paper geometry; the
-    per-row gradients are summed in alpha order. A cohort runs one
-    record at a time, since the alpha grid already fills the passes.
+    passes of as many alphas as fit the byte budget (a ``replay`` pass of
+    :meth:`~icuxai.model.TriModalNet.pass_rows`), and the per-row
+    gradients are summed in alpha order. A cohort runs one record at a
+    time, since the alpha grid already fills the passes.
     """
     target_class = _check_target_class(target_class)
     alphas = midpoint_alphas(steps)
@@ -378,7 +313,7 @@ def integrated_gradients(model, records, target_class: int = 1, steps: int = 20)
         end = Context(tape=Tape(record=False), params=model.params,
                       mode="attribution", frozen=frozen)
         logits = model.forward(end, *arrays)
-        per_pass = _cell_rows(model, arrays)
+        per_pass = model.pass_rows("replay", *arrays)
         acc: dict[str, np.ndarray] = {}
         for start in range(0, alphas.size, per_pass):
             grads = _ig_pass(model, frozen, arrays, alphas[start:start + per_pass],
@@ -390,21 +325,17 @@ def integrated_gradients(model, records, target_class: int = 1, steps: int = 20)
         return [(logits.data[0, target_class], r["events"], r["notes"].sum(axis=-1),
                  r["vitals"])]
 
-    return _explain(model, records, "integrated-gradients", target_class,
-                    lambda model, arrays: 1, attribute)
+    return _explain(model, records, "integrated-gradients", target_class, None,
+                    attribute)
 
 
 # --- attention readouts --------------------------------------------------------------
 
 def _readout(model, records, name: str, target_class: int, read, capture=False):
-    """Reports read off non-recording passes, cut by ``predict_proba``'s
-    attention byte rule. ``read(record, maps)`` gives the record's three
-    attribution arrays; with ``capture`` set, ``maps`` holds its
-    (heads, L, L) attention map per encoder block, keyed by modality, and
-    the rule counts every map the capture keeps."""
-
-    def rows(model, arrays):
-        return model.pass_rows(*arrays, keep_maps=capture)
+    """Reports read off non-recording passes. ``read(record, maps)`` gives
+    the record's three attribution arrays; with ``capture`` set, ``maps``
+    holds its (heads, L, L) attention map per encoder block, keyed by
+    modality, and each pass takes as many records as those maps fit."""
 
     def attribute(chunk, *arrays):
         ctx = Context(tape=Tape(record=False), params=model.params,
@@ -417,7 +348,8 @@ def _readout(model, records, name: str, target_class: int, read, capture=False):
             results.append((logits[i, target_class], *read(rec, maps)))
         return results
 
-    return _explain(model, records, name, target_class, rows, attribute)
+    return _explain(model, records, name, target_class,
+                    "capture" if capture else "inference", attribute)
 
 
 def _per_position(row: np.ndarray, shape) -> np.ndarray:
@@ -582,8 +514,9 @@ def epsilon_lrp(model, records, target_class: int = 1, eps: float = 1e-6):
     Attention maps and LayerNorm denominators act as fixed mixing
     weights (the attribution-mode forward already pins them); linear and
     relu operations redistribute by the epsilon rule with the given
-    stabilizer. A cohort runs as recording passes of ``_recording_rows``
-    records, each one sweep seeded with its rows' target logits.
+    stabilizer. A cohort runs as recording passes of as many records as
+    fit the byte budget, each one sweep seeded with its rows' target
+    logits.
     """
     target_class = _check_target_class(target_class)
     if eps <= 0:
@@ -596,7 +529,7 @@ def epsilon_lrp(model, records, target_class: int = 1, eps: float = 1e-6):
         return list(zip(target.data, rel["events"], rel["notes"].sum(axis=-1),
                         rel["vitals"]))
 
-    return _explain(model, records, "lrp-epsilon", target_class, _recording_rows,
+    return _explain(model, records, "lrp-epsilon", target_class, "recording",
                     attribute)
 
 

@@ -58,7 +58,7 @@ from . import __version__
 from .attribution import (CSV_HEADER, EXPLAINER_KINDS,
                           aggregate_feature_attributions, make_explainer)
 from .autodiff import NonFiniteError
-from .errors import DataError
+from .errors import DataError, ParseError
 from .fileio import atomic_open
 from .metrics import auc_pr, auc_roc
 from .model import TriModalNet, load_checkpoint, model_config_for, save_checkpoint
@@ -546,9 +546,33 @@ def _require(path: Path, producer: str) -> Path:
     return path
 
 
-def _read_csv(path: Path) -> list[dict]:
-    with path.open(newline="") as handle:
-        return list(csv.DictReader(handle))
+def _read_csv(path: Path, columns: tuple[str, ...]) -> list[dict]:
+    try:
+        with path.open(newline="") as handle:
+            reader = csv.DictReader(handle)
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ParseError(f"{path}: the header lacks column(s) {missing}")
+            return list(reader)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ParseError(f"{path}: not a readable CSV: {e}") from None
+
+
+def _read_json_object(path: Path) -> dict:
+    try:
+        value = json.loads(path.read_text())
+    except ValueError as e:
+        raise ParseError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(value, dict):
+        raise ParseError(f"{path}: holds a JSON {type(value).__name__}, not an object")
+    return value
+
+
+def _number(raw, path: Path) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ParseError(f"{path}: {raw!r} is not a number") from None
 
 
 def _md_table(header, rows) -> list[str]:
@@ -571,9 +595,15 @@ def cmd_report(args) -> str:
     run = Path(args.run)
     if not run.is_dir():
         raise DataError(f"run directory {run} does not exist")
-    metrics = _read_csv(_require(run / "metrics.csv", "eval"))
-    summary = _read_csv(_require(run / "au_summary.csv", "perturb"))
-    curves = _require(run / "curves.txt", "perturb").read_text()
+    metrics = _read_csv(_require(run / "metrics.csv", "eval"),
+                        ("split", "n", "positives", "auc_roc", "auc_pr"))
+    summary_path = _require(run / "au_summary.csv", "perturb")
+    summary = _read_csv(summary_path, ("explainer", "au"))
+    curves_path = _require(run / "curves.txt", "perturb")
+    try:
+        curves = curves_path.read_text()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{curves_path}: not UTF-8 text: {e}") from None
     aggregates = sorted(run.glob("aggregate_*.json"))
     if not aggregates:
         raise DataError(f"report needs {run / 'aggregate_<kind>.json'}, which "
@@ -583,11 +613,15 @@ def cmd_report(args) -> str:
     lines = ["# Run report", ""]
     manifest_path = run / "manifest.json"
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+        manifest = _read_json_object(manifest_path)
+        try:
+            rows = [(cmd, entry.get("seed"), entry.get("version"))
+                    for cmd, entry in sorted(manifest.items())]
+        except AttributeError:
+            raise ParseError(f"{manifest_path}: each command's entry must be "
+                             f"an object") from None
         lines += ["## Provenance", ""]
-        lines += _md_table(("command", "seed", "version"),
-                           [(cmd, entry.get("seed"), entry.get("version"))
-                            for cmd, entry in sorted(manifest.items())])
+        lines += _md_table(("command", "seed", "version"), rows)
         lines.append("")
 
     lines += ["## Classification metrics", ""]
@@ -600,7 +634,7 @@ def cmd_report(args) -> str:
     lines += ["## Perturbation faithfulness", "",
               "Area under the deletion curve (AUC-ROC vs fraction of "
               "least-relevant features removed); higher is better.", ""]
-    ranked = sorted(summary, key=lambda r: -float(r["au"]))
+    ranked = sorted(summary, key=lambda r: -_number(r["au"], summary_path))
     lines += _md_table(("explainer", "AU"),
                        [(r["explainer"], _fmt(r["au"])) for r in ranked])
     lines += ["", "```", curves.strip("\n"), "```", ""]
@@ -608,17 +642,21 @@ def cmd_report(args) -> str:
     top_k = args.top_k
     for path in aggregates:
         kind = path.stem.removeprefix("aggregate_")
-        ranking = json.loads(path.read_text())
+        ranking = _read_json_object(path)
         lines += [f"## Feature ranking ({kind})", ""]
         for modality in MODALITIES:
-            rows = ranking.get(modality, [])
+            try:
+                rows = [(n, float(v), c) for n, v, c in ranking.get(modality, [])]
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}: {modality} rows must be [feature, mean "
+                                 f"attribution, records]") from None
             if not rows:
                 continue
-            positive = [r for r in rows if float(r[1]) > 0][:top_k]
+            positive = [r for r in rows if r[1] > 0][:top_k]
             lines += [f"### {modality}: top {len(positive)} positive", ""]
             lines += _md_table(("feature", "mean attribution", "records"),
                                [(n, _fmt(v), c) for n, v, c in positive])
-            negative = [r for r in reversed(rows) if float(r[1]) < 0][:top_k]
+            negative = [r for r in reversed(rows) if r[1] < 0][:top_k]
             if negative:
                 lines += ["", f"### {modality}: top {len(negative)} negative", ""]
                 lines += _md_table(("feature", "mean attribution", "records"),
@@ -630,7 +668,7 @@ def cmd_report(args) -> str:
         candidates = sorted(run.glob("attributions_*.csv"))
         heat_source = candidates[0] if candidates else None
     if heat_source is not None:
-        rows = _read_csv(heat_source)
+        rows = _read_csv(heat_source, ("record_id",) + CSV_HEADER)
         kind = heat_source.stem.removeprefix("attributions_")
         by_record: dict[str, list[dict]] = {}
         for row in rows:
@@ -639,7 +677,7 @@ def cmd_report(args) -> str:
         for rid in list(by_record)[:args.heat_records]:
             lines += [f"### record {rid}", ""]
             cells = sorted(by_record[rid],
-                           key=lambda r: -abs(float(r["attribution"])))
+                           key=lambda r: -abs(_number(r["attribution"], heat_source)))
             lines += _md_table(
                 ("modality", "feature", "time", "attribution"),
                 [(r["modality"], r["feature_id"], r["time_index"],

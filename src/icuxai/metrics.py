@@ -1,4 +1,4 @@
-"""Binary classification metrics and seed-aggregation helpers.
+"""Binary classification metrics.
 
 Both curve metrics use deterministic tie handling so results are exactly
 reproducible and exactly checkable against brute-force oracles:
@@ -16,7 +16,6 @@ reproducible and exactly checkable against brute-force oracles:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,40 +85,3 @@ def auc_pr(labels, scores) -> float:
         prev_recall = recall
         i = j
     return math.fsum(terms)
-
-
-def confidence_interval95(values) -> tuple[float, float, float]:
-    """Mean and normal-approximation 95% interval over repeated runs:
-    mean ± 1.96 · sd / sqrt(k), sample standard deviation (ddof=1)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("need a non-empty vector of run values")
-    mean = float(np.mean(arr))
-    half = 0.0 if arr.size < 2 else 1.96 * float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
-    return mean, mean - half, mean + half
-
-
-@dataclass
-class MetricResult:
-    """Both curve metrics aggregated over repeated runs (seeds)."""
-
-    auc_roc: float
-    auc_pr: float
-    roc_runs: list[float]
-    pr_runs: list[float]
-    roc_ci95: tuple[float, float]
-    pr_ci95: tuple[float, float]
-
-    def __post_init__(self):
-        for v in (self.auc_roc, self.auc_pr, *self.roc_runs, *self.pr_runs):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"metric value {v} outside [0, 1]")
-
-    @classmethod
-    def from_runs(cls, roc_runs, pr_runs) -> "MetricResult":
-        roc_mean, roc_lo, roc_hi = confidence_interval95(roc_runs)
-        pr_mean, pr_lo, pr_hi = confidence_interval95(pr_runs)
-        return cls(auc_roc=roc_mean, auc_pr=pr_mean,
-                   roc_runs=[float(v) for v in roc_runs],
-                   pr_runs=[float(v) for v in pr_runs],
-                   roc_ci95=(roc_lo, roc_hi), pr_ci95=(pr_lo, pr_hi))

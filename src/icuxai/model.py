@@ -51,10 +51,9 @@ from .records import (
 
 CHECKPOINT_VERSION = 1
 
-#: memory budget of one inference batch's attention: ``predict_proba``
-#: takes no more rows than fit their scores and softmax maps, two float64
-#: (heads, L, L) arrays per row, into this many bytes
-_INFERENCE_ATTENTION_BYTES = 128 << 20
+#: bytes one forward pass may hold: every pass, inference or explaining,
+#: takes as many rows as fit (see :meth:`TriModalNet.pass_rows`)
+PASS_BYTES = 128 << 20
 
 
 @dataclass
@@ -254,42 +253,72 @@ class TriModalNet:
         hidden = ad.relu(self.fusion_hidden.forward(ctx, fused))
         return self.fusion_out.forward(ctx, hidden)
 
-    def pass_rows(self, *arrays, keep_maps: bool = False) -> int:
-        """The most rows of ``arrays`` one forward pass takes: as many as
-        fit two float64 (heads, L, L) attention arrays per attention, the
-        scores and the softmax map, into ``_INFERENCE_ATTENTION_BYTES``.
-        Without ``keep_maps`` one attention is counted, with L the longest
-        input sequence; with it, every encoder block's.
-
-        The rule overcounts by design. The scores live only inside the
-        ``attention-map`` node, whose softmax runs in their buffer, so a
-        pass holds one such array per attention at a time, and a recording
-        tape or an attention capture keeps one map per block. The count
-        stays at two because the rows per pass set how BLAS rounds a
-        cohort's last ulps: changing it would change batched outputs."""
+    def pass_bytes(self, kind: str, events, notes, vitals) -> tuple[int, int]:
+        """``(fixed, per_row)``: the bytes a forward pass of ``kind`` over
+        these inputs holds once, and per row. An ``inference`` pass holds
+        the largest block's (heads, L, L) attention map; a ``capture`` pass
+        every block's map; a ``recording`` tape every map and activation,
+        and once the parameter leaves and positional tables; an integrated
+        gradients ``replay`` tape the activations, and once those leaves
+        and tables and the batch-1 frozen maps and LayerNorm denominators."""
         c = self.config
-        lengths = [a.shape[1] for a in arrays if a.ndim > 1]
-        if keep_maps:
-            blocks = (c.event_blocks, c.note_blocks, c.vitals_blocks)
-            squares = sum(n * length * length for n, length in zip(blocks, lengths))
-        else:
-            squares = max([1] + [length * length for length in lengths])
-        return max(1, _INFERENCE_ATTENTION_BYTES // (2 * c.heads * squares * 8))
+        lengths = (events.shape[1], notes.shape[1], vitals.shape[1])
+        blocks = (c.event_blocks, c.note_blocks, c.vitals_blocks)
+        maps = sum(n * c.heads * L * L for n, L in zip(blocks, lengths))
+        if kind in ("inference", "capture"):
+            return 0, 8 * (maps if kind == "capture" else c.heads * max(lengths) ** 2)
+        if kind not in ("recording", "replay"):
+            raise ValueError(f"unknown pass kind {kind!r}")
+        bias, replay = int(not c.bias_free), int(kind == "replay")
+        lin = 1 + bias  # a Linear's product and its bias add
+        # a block position: Linears q, k (not replayed), v, out, ffn1 and
+        # ffn2; mixed values, merged heads, two residuals and ffn1's relu;
+        # per LayerNorm ``ln`` centred, squared (not replayed), scaled,
+        # gained and shifted arrays and four (one replayed) (L, 1) statistics
+        ln = 3 + 2 * bias - replay
+        block = (c.width * ((5 - 2 * replay) * lin + 4 + 2 * ln)
+                 + c.ffn_width * (lin + 1) + 8 - 6 * replay)
+        # a row's inputs: events and vitals leaves (and scaled copies), each
+        # position projected and shifted; embedded notes, int64 ids and
+        # positional add (and scaled copy); its input scale; the fusion head
+        grid = (lin + bias) * c.width
+        inputs = (lengths[0] * ((1 + replay) * c.event_dim + grid)
+                  + lengths[1] * (1 + (1 + bias + replay) * c.width)
+                  + lengths[2] * ((1 + replay) * c.vitals_channels + grid)
+                  + replay + 3 * c.width + (lin + 1) * c.fusion_hidden + 2 * lin)
+        per_row = inputs + sum(n * L * block for n, L in zip(blocks, lengths))
+        fixed = (sum(p.size for _, p in self.params.items())
+                 + bias * c.width * (lengths[0] + lengths[2]))
+        if replay:  # frozen maps and denominators in, q and k weights out
+            fixed += maps + sum(n * (2 * L - 2 * (c.width + bias) * c.width)
+                                for n, L in zip(blocks, lengths))
+        else:  # every map, and each LayerNorm's eps leaf
+            per_row += maps
+            fixed += 2 * sum(blocks)
+        return 8 * fixed, 8 * per_row
+
+    def pass_rows(self, kind: str, *arrays) -> int:
+        """Rows of ``arrays`` a pass of ``kind`` takes: at least one, else
+        as many as :meth:`pass_bytes` fits into ``PASS_BYTES``."""
+        fixed, per_row = self.pass_bytes(kind, *arrays)
+        return max(1, (PASS_BYTES - fixed) // per_row)
 
     def predict_proba(self, events, notes, vitals, batch_size: int = 256,
                       active: tuple[str, ...] = MODALITIES) -> np.ndarray:
         """Class probabilities (n, 2), computed in inference batches.
 
         Each batch runs on a non-recording tape, so a forward holds only
-        the values still in use. ``batch_size`` is an upper bound: a batch
-        takes at most :meth:`pass_rows` rows. BLAS may round the last
-        ulps differently at another batch size, so a cut batch is not
-        bit-equal to an uncut one.
+        the values still in use. ``batch_size`` (positive) is an upper
+        bound: a batch takes at most :meth:`pass_rows` rows. BLAS may
+        round the last ulps differently at another batch size, so a cut
+        batch is not bit-equal to an uncut one.
         """
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
         arrays = tuple(np.asarray(a) for a in (events, notes, vitals))
         events, notes, vitals = arrays
         n = events.shape[0]
-        batch_size = max(1, min(batch_size, self.pass_rows(*arrays)))
+        batch_size = min(batch_size, self.pass_rows("inference", *arrays))
         out = []
         for start in range(0, n, batch_size):
             stop = min(start + batch_size, n)

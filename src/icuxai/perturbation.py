@@ -23,15 +23,13 @@ import numpy as np
 
 from .attribution import EXPLAINER_KINDS, AttributionReport, make_explainer
 from .metrics import auc_roc
-from .records import (CLS_ID, MODALITIES, PAD_ID, EventSequence,
-                      MultimodalDataset, MultimodalRecord, NoteTokens, VitalSigns)
+from .records import CLS_ID, MODALITIES, PAD_ID, MultimodalDataset
 
 __all__ = [
     "PerturbationCurve",
     "area_under",
     "compare_explainers",
     "default_fractions",
-    "perturb",
     "perturbation_curve",
     "plot_table",
     "rank_features",
@@ -112,34 +110,6 @@ def rank_features(report: AttributionReport,
     starts = np.cumsum([0, report.events.size, report.notes.size])
     m = np.searchsorted(starts, columns, side="right") - 1
     return [(MODALITIES[k], i) for k, i in zip(m.tolist(), (columns - starts[m]).tolist())]
-
-
-def perturb(record: MultimodalRecord,
-            removed: list[tuple[str, int]]) -> MultimodalRecord:
-    """A copy of the record with the given units replaced by baselines."""
-    events = record.events.values.copy()
-    notes = record.notes.ids.copy()
-    vitals = record.vitals.values.copy()
-    flat = {"events": events.reshape(-1), "vitals": vitals.reshape(-1)}
-    for modality, idx in removed:
-        if modality == "notes":
-            if not 0 <= idx < notes.shape[0]:
-                raise IndexError(f"note position {idx} out of range")
-            notes[idx] = PAD_ID
-        elif modality in flat:
-            arr = flat[modality]
-            if not 0 <= idx < arr.shape[0]:
-                raise IndexError(f"{modality} cell {idx} out of range")
-            arr[idx] = 0.0
-        else:
-            raise ValueError(f"unknown modality {modality!r}")
-    return MultimodalRecord(
-        record_id=record.record_id,
-        label=record.label,
-        events=EventSequence(events, record.events.mask.copy()),
-        notes=NoteTokens(notes),
-        vitals=VitalSigns(vitals),
-    )
 
 
 # --- curves --------------------------------------------------------------------------

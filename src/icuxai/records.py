@@ -202,21 +202,6 @@ class MultimodalDataset:
     def prevalence(self) -> float:
         return float(np.mean(self.labels)) if len(self) else 0.0
 
-    @classmethod
-    def from_records(cls, records: list[MultimodalRecord],
-                     meta: dict | None = None) -> "MultimodalDataset":
-        if not records:
-            raise SchemaError("cannot build a dataset from zero records")
-        return cls(
-            events=np.stack([r.events.values for r in records]),
-            events_mask=np.stack([r.events.mask for r in records]),
-            notes=np.stack([r.notes.ids for r in records]),
-            vitals=np.stack([r.vitals.values for r in records]),
-            labels=np.array([r.label for r in records], dtype=np.int64),
-            ids=[r.record_id for r in records],
-            meta=meta,
-        )
-
     def save(self, path) -> None:
         arrays = {
             "events": self.events,

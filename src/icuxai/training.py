@@ -1,4 +1,4 @@
-"""Training: loss, optimizer, schedule, rebalancing and cross-validation.
+"""Training: loss, optimizer, schedule and rebalancing.
 
 The loss is weighted cross-entropy. For training it is computed on the
 tape from logits through a log-softmax composition (never materializing
@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NonFiniteError, Tape, Tensor
 from .blocks import Context, ParamStore
-from .metrics import auc_pr, auc_roc
+from .metrics import auc_roc
 from .records import MODALITIES, MultimodalDataset
 
 
@@ -35,7 +35,7 @@ class TrainConfig:
     seed: int = 0
     upsample: bool = True
     patience: int = 10      # early-stopping patience, epochs without val improvement
-    clip_norm: float = 1.0  # global gradient-norm ceiling
+    clip_norm: float = 1.0  # global gradient-norm ceiling; 0 turns clipping off
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if self.patience < 1:
             raise ValueError("patience must be positive")
+        if not self.clip_norm >= 0.0:
+            raise ValueError("clip_norm must be non-negative (0 turns clipping off)")
 
 
 # --- loss ----------------------------------------------------------------------
@@ -133,7 +135,7 @@ def lr_schedule(lr0: float, epoch: int) -> float:
     return lr0 * 0.98 ** (epoch // 10)
 
 
-# --- rebalancing and splits ---------------------------------------------------------
+# --- rebalancing ---------------------------------------------------------
 
 def upsample_positives(labels, rng: np.random.Generator) -> np.ndarray:
     """Index array over ``labels`` with positives re-sampled (with
@@ -149,59 +151,6 @@ def upsample_positives(labels, rng: np.random.Generator) -> np.ndarray:
         idx = np.concatenate([idx, extra])
     rng.shuffle(idx)
     return idx
-
-
-@dataclass
-class SplitPlan:
-    """Stratified k-fold assignment plus the within-train validation rule."""
-
-    folds: np.ndarray       # fold id per record, values in [0, k)
-    k: int
-    val_fraction: float = 0.2
-    seed: int = 0
-
-    def split(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
-        """(train_indices, test_indices) for one fold."""
-        if not 0 <= fold < self.k:
-            raise ValueError(f"fold {fold} outside [0, {self.k})")
-        test = np.flatnonzero(self.folds == fold)
-        train = np.flatnonzero(self.folds != fold)
-        return train, test
-
-    def train_val(self, fold: int, labels) -> tuple[np.ndarray, np.ndarray]:
-        """Split this fold's training portion into fit/validation parts,
-        stratified by label."""
-        train, _ = self.split(fold)
-        labels = np.asarray(labels)
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, fold)))
-        fit, val = [], []
-        for cls in (0, 1):
-            members = train[labels[train] == cls]
-            members = members[rng.permutation(members.size)]
-            n_val = int(round(self.val_fraction * members.size))
-            if members.size > 1:
-                n_val = min(max(n_val, 1), members.size - 1)
-            val.append(members[:n_val])
-            fit.append(members[n_val:])
-        return np.sort(np.concatenate(fit)), np.sort(np.concatenate(val))
-
-
-def make_split_plan(labels, k: int = 5, val_fraction: float = 0.2,
-                    seed: int = 0) -> SplitPlan:
-    """Assign every record to one of k folds, stratified by label."""
-    labels = np.asarray(labels)
-    if k < 2:
-        raise ValueError("k-fold cross-validation needs k >= 2")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 987654321)))
-    folds = np.full(labels.size, -1, dtype=np.int64)
-    for cls in (0, 1):
-        members = np.flatnonzero(labels == cls)
-        if members.size < k:
-            raise ValueError(f"class {cls} has {members.size} records, "
-                             f"cannot stratify into {k} folds")
-        members = members[rng.permutation(members.size)]
-        folds[members] = np.arange(members.size) % k
-    return SplitPlan(folds=folds, k=k, val_fraction=val_fraction, seed=seed)
 
 
 # --- the training loop -----------------------------------------------------------------
@@ -305,29 +254,3 @@ def train_model(model, dataset: MultimodalDataset, config: TrainConfig,
         model.params.restore(best_state)
         result.best_val_auc = float(best_auc)
     return result
-
-
-def cross_validate(dataset: MultimodalDataset, build_model, config: TrainConfig,
-                   plan: SplitPlan, active: tuple[str, ...] = MODALITIES,
-                   log_fn=None) -> list[dict]:
-    """Train one fresh model per fold; report test-fold metrics.
-
-    ``build_model()`` must return a newly initialized model compatible
-    with the dataset. Returns one row per fold with both curve metrics.
-    """
-    rows = []
-    for fold in range(plan.k):
-        _, test_idx = plan.split(fold)
-        fit_idx, val_idx = plan.train_val(fold, dataset.labels)
-        model = build_model()
-        train_model(model, dataset, config, fit_idx, val_idx, active, log_fn)
-        probs = model.predict_proba(dataset.events[test_idx], dataset.notes[test_idx],
-                                    dataset.vitals[test_idx], active=active)
-        rows.append({
-            "fold": fold,
-            "auc_roc": auc_roc(dataset.labels[test_idx], probs[:, 1]),
-            "auc_pr": auc_pr(dataset.labels[test_idx], probs[:, 1]),
-            "n_test": int(test_idx.size),
-        })
-    return rows
-

@@ -6,7 +6,6 @@ midpoint-rule completeness on a quadratic, and exactness properties
 (pad positions, structurally dead features) that must hold to the bit.
 """
 
-import json
 import math
 
 import numpy as np
@@ -325,13 +324,20 @@ def test_batched_ig_matches_one_alpha_per_tape(model, free_model, bias_free):
             _assert_close_relative(got, want)
 
 
-def test_batched_ig_uneven_chunks_match_one_alpha_per_tape(model, monkeypatch):
-    import icuxai.attribution as attribution_module
+def _budget_for_rows(monkeypatch, net, kind, rows):
+    """Shrink the pass byte budget until a ``kind`` pass of SMALL records
+    takes ``rows`` rows."""
+    from icuxai import model as model_module
 
+    rec = make_record(0)
+    fixed, per_row = net.pass_bytes(kind, rec.events.values[None],
+                                    rec.notes.ids[None], rec.vitals.values[None])
+    monkeypatch.setattr(model_module, "PASS_BYTES", fixed + rows * per_row)
+
+
+def test_batched_ig_uneven_chunks_match_one_alpha_per_tape(model, monkeypatch):
     rec = make_record(23)
-    cells = SMALL["width"] * (SMALL["event_hours"] + SMALL["note_len"]
-                              + SMALL["vitals_steps"])
-    monkeypatch.setattr(attribution_module, "_IG_CELL_CAP", 3 * cells)
+    _budget_for_rows(monkeypatch, model, "replay", 3)
     rows_per_pass = []
     real_forward = model.forward
 
@@ -673,28 +679,13 @@ def _rows_per_pass(monkeypatch, net):
     return rows
 
 
-def _attention_row_bytes(keep_maps):
-    """Attention bytes of one SMALL row: scores and map of the longest
-    sequence, or of every encoder block when the pass keeps them."""
-    squares = [SMALL[k] ** 2 for k in ("event_hours", "note_len", "vitals_steps")]
-    return 2 * SMALL["heads"] * 8 * (sum(squares) if keep_maps else max(squares))
-
-
 @pytest.mark.parametrize("kind", ["lrptrans", "lrp-epsilon"])
 def test_cohort_over_the_pass_caps_runs_as_several_recording_passes(model,
                                                                     monkeypatch, kind):
-    from icuxai import model as model_module
-
     records = [make_record(40 + i) for i in range(7)]
     explainer = make_explainer(kind, model)
     singles = [explainer.explain(rec) for rec in records]
-    # the activations alone would fill a pass at 6 rows, and so would the
-    # kept attention maps alone; a pass that holds both takes 3
-    cells = SMALL["width"] * (SMALL["event_hours"] + SMALL["note_len"]
-                              + SMALL["vitals_steps"])
-    monkeypatch.setattr(attribution, "_IG_CELL_CAP", 6 * cells)
-    monkeypatch.setattr(model_module, "_INFERENCE_ATTENTION_BYTES",
-                        6 * _attention_row_bytes(keep_maps=True))
+    _budget_for_rows(monkeypatch, model, "recording", 3)
     rows = _rows_per_pass(monkeypatch, model)
     cohort = explainer.explain_cohort(records)
     monkeypatch.undo()
@@ -710,9 +701,11 @@ def test_cohort_over_the_byte_cap_runs_as_several_inference_passes(model, monkey
     records = [make_record(50 + i) for i in range(5)]
     explainer = make_explainer(kind, model)
     singles = [explainer.explain(rec) for rec in records]
-    # a capture keeps every block's map, so its rows count them all
-    row_bytes = _attention_row_bytes(keep_maps=kind != "random")
-    monkeypatch.setattr(model_module, "_INFERENCE_ATTENTION_BYTES", 2 * row_bytes)
+    # one float64 (heads, L, L) map a row: the longest sequence's, or every
+    # encoder block's when the pass captures them
+    squares = [SMALL[k] ** 2 for k in ("event_hours", "note_len", "vitals_steps")]
+    row_bytes = SMALL["heads"] * 8 * (max(squares) if kind == "random" else sum(squares))
+    monkeypatch.setattr(model_module, "PASS_BYTES", 2 * row_bytes)
     rows = _rows_per_pass(monkeypatch, model)
     cohort = explainer.explain_cohort(records)
     monkeypatch.undo()
@@ -720,20 +713,7 @@ def test_cohort_over_the_byte_cap_runs_as_several_inference_passes(model, monkey
     _assert_reports_match(cohort, singles)
 
 
-# --- report serialization ------------------------------------------------------------
-
-def test_report_json_round_trip_is_exact(model):
-    rep = gi_attribute(model, make_record(21))
-    back = AttributionReport.from_json(rep.to_json())
-    assert back.events.tolist() == rep.events.tolist()
-    assert back.notes.tolist() == rep.notes.tolist()
-    assert back.vitals.tolist() == rep.vitals.tolist()
-    assert back.note_ids.tolist() == rep.note_ids.tolist()
-    assert back.target_value == rep.target_value
-    assert back.conservation_residual == rep.conservation_residual
-    payload = json.loads(rep.to_json())
-    assert payload["modality_sums"]["events"] == float(np.sum(rep.events))
-
+# --- report rows ---------------------------------------------------------------------
 
 def test_report_csv_rows_cover_every_element(model):
     rep = gi_attribute(model, make_record(22))

@@ -193,6 +193,56 @@ def test_report_refuses_incomplete_run_directory(tmp_path):
     assert run(["report", "--run", str(tmp_path)]) == 2  # no metrics.csv yet
 
 
+def _minimal_run(directory):
+    """A run directory holding what ``report`` reads, written by hand."""
+    directory.mkdir()
+    (directory / "metrics.csv").write_text(
+        "split,n,positives,auc_roc,auc_pr\ntest,4,2,0.75,0.8\n")
+    (directory / "au_summary.csv").write_text("explainer,au\nrandom,0.6\n")
+    (directory / "curves.txt").write_text("fraction random\n0.0 0.75\n")
+    (directory / "aggregate_random.json").write_text(
+        json.dumps({"events": [["event_0", 0.5, 4]], "notes": [], "vitals": []}))
+    (directory / "manifest.json").write_text(json.dumps({"eval": {"seed": 1}}))
+    return directory
+
+
+@pytest.mark.parametrize("name,content,message", [
+    ("metrics.csv", "split,count\ntest,4\n", "lacks column"),
+    ("aggregate_random.json", "[1, 2]", "JSON list, not an object"),
+    ("aggregate_random.json", "{not json", "not valid JSON"),
+    ("au_summary.csv", "explainer,au\nrandom,high\n", "'high' is not a number"),
+    ("aggregate_random.json", '{"events": [["event_0", "big", 4]]}', "rows must be"),
+    ("manifest.json", '{"eval": [1]}', "must be an object"),
+    ("attributions_random.csv", "record_id,modality\nr,events\n", "lacks column"),
+    ("au_summary.csv", b"explainer,au\n\xff\xfe,0.6\n", "not a readable CSV"),
+    ("curves.txt", b"fraction random\n\xff\xfe\n", "not UTF-8 text"),
+    ("metrics.csv", "split,n,positives,auc_roc,auc_pr\n" + "x" * 200_000 + ",4\n",
+     "field larger than field limit"),
+], ids=["metrics-header", "aggregate-list", "invalid-json", "non-numeric-au",
+        "non-numeric-ranking", "manifest-entry", "attributions-header", "not-utf8",
+        "curves-not-utf8", "oversized-field"])
+def test_report_on_a_malformed_run_file_exits_2(tmp_path, capsys, name, content,
+                                                message):
+    directory = _minimal_run(tmp_path / "run")
+    assert run(["report", "--run", str(directory)]) == 0
+    capsys.readouterr()
+    path = directory / name
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert run(["report", "--run", str(directory), "--out",
+                str(tmp_path / "r.md")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.md").exists()
+
+
+def test_train_rejects_a_negative_clip_norm(workdir, tmp_path, capsys):
+    assert run(["train", "--data", str(workdir / "data.npz"), "--out",
+                str(tmp_path), "--clip-norm", "-1"] + TRAIN_ARGS) == 1
+    assert capsys.readouterr().err.startswith("usage error: clip_norm must be "
+                                              "non-negative")
+
+
 def test_usage_errors_exit_1(workdir, tmp_path, capsys):
     checkpoint = str(workdir / "model.npz")
     data = str(workdir / "data.npz")

@@ -15,12 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icuxai.metrics import (
-    MetricResult,
-    auc_pr,
-    auc_roc,
-    confidence_interval95,
-)
+from icuxai.metrics import auc_pr, auc_roc
 
 
 def oracle_auc_roc(labels, scores):
@@ -166,31 +161,3 @@ def test_input_validation():
         auc_roc([1, 2], [0.1, 0.2])
     with pytest.raises(ValueError, match="at least one"):
         auc_roc([], [])
-
-
-# --- aggregation ---------------------------------------------------------------------
-
-def test_confidence_interval_matches_hand_computation():
-    mean, lo, hi = confidence_interval95([0.8, 0.9])
-    # sd(ddof=1) of [0.8, 0.9] is 0.05 * sqrt(2); 1.96 * sd / sqrt(2) = 0.098
-    assert mean == pytest.approx(0.85)
-    assert lo == pytest.approx(0.85 - 0.098)
-    assert hi == pytest.approx(0.85 + 0.098)
-
-
-def test_confidence_interval_single_run_has_zero_width():
-    mean, lo, hi = confidence_interval95([0.7])
-    assert mean == lo == hi == 0.7
-
-
-def test_metric_result_from_runs():
-    res = MetricResult.from_runs([0.8, 0.9, 0.85], [0.5, 0.6, 0.55])
-    assert res.auc_roc == pytest.approx(0.85)
-    assert res.auc_pr == pytest.approx(0.55)
-    assert len(res.roc_runs) == 3
-    assert res.roc_ci95[0] < 0.85 < res.roc_ci95[1]
-
-
-def test_metric_result_rejects_out_of_range_values():
-    with pytest.raises(ValueError, match="outside"):
-        MetricResult.from_runs([0.8, 1.2], [0.5, 0.5])

@@ -12,7 +12,7 @@ import pytest
 from icuxai import autodiff as ad
 from icuxai import fileio
 from icuxai.autodiff import Tape
-from icuxai.blocks import Context
+from icuxai.blocks import Context, FrozenState
 from icuxai.errors import CheckpointError, SchemaError
 from icuxai.model import (
     ModelConfig,
@@ -190,9 +190,9 @@ def test_predict_proba_cuts_batches_to_the_attention_byte_budget(small_model, mo
 
     events, notes, vitals = small_batch(7, seed=9)
     whole = small_model.predict_proba(events, notes, vitals)
-    # L = 8 (the notes), 2 heads: scores and p take 2 * 2 * 8 * 8 * 8 bytes a row
-    row_bytes = 2 * 2 * 8 * 8 * 8
-    monkeypatch.setattr(model_module, "_INFERENCE_ATTENTION_BYTES", 3 * row_bytes + 1)
+    # L = 8 (the notes), 2 heads: the live map takes 2 * 8 * 8 * 8 bytes a row
+    row_bytes = 2 * 8 * 8 * 8
+    monkeypatch.setattr(model_module, "PASS_BYTES", 3 * row_bytes + 1)
     rows = []
     real_forward = TriModalNet.forward
 
@@ -208,9 +208,102 @@ def test_predict_proba_cuts_batches_to_the_attention_byte_budget(small_model, mo
     small_model.predict_proba(events, notes, vitals, batch_size=2)  # an upper bound
     assert rows == [2, 2, 2, 1]
     rows.clear()
-    monkeypatch.setattr(model_module, "_INFERENCE_ATTENTION_BYTES", 1)
+    monkeypatch.setattr(model_module, "PASS_BYTES", 1)
     small_model.predict_proba(events, notes, vitals)  # never below one row
     assert rows == [1] * 7
+
+
+@pytest.mark.parametrize("batch_size", [0, -5])
+def test_predict_proba_rejects_a_batch_size_below_one(small_model, batch_size):
+    with pytest.raises(ValueError, match="batch_size must be positive"):
+        small_model.predict_proba(*small_batch(2), batch_size=batch_size)
+
+
+# --- the pass byte budget ------------------------------------------------------------
+
+DESK = dict(width=16, heads=2, ffn_width=32, event_blocks=1, note_blocks=1,
+            vitals_blocks=1, event_hours=12, event_dim=10, note_len=24, vocab_size=60,
+            vitals_steps=24, vitals_channels=6, fusion_hidden=16)
+MID = dict(width=32, heads=4, ffn_width=64, event_blocks=2, note_blocks=2,
+           vitals_blocks=2, event_hours=24, event_dim=20, note_len=96, vocab_size=60,
+           vitals_steps=120, vitals_channels=8, fusion_hidden=16)
+
+
+def held_bytes(tape):
+    """Bytes of memory the tape's values and node contexts keep alive, each
+    byte counted once however many views reach it."""
+    arrays = list(tape.values)
+    for node in tape.nodes:
+        arrays += [v for v in node.ctx.values() if isinstance(v, np.ndarray)]
+    spans = sorted(np.lib.array_utils.byte_bounds(a) for a in arrays if a.size)
+    total, end = 0, 0
+    for lo, hi in spans:
+        if hi > end:
+            total += hi - max(lo, end)
+            end = hi
+    return total
+
+
+def geometry_batch(config, n, seed=0):
+    rng = np.random.default_rng(seed)
+    notes = rng.integers(3, config.vocab_size, size=(n, config.note_len))
+    notes[:, 0] = CLS_ID
+    return (rng.normal(size=(n, config.event_hours, config.event_dim)), notes,
+            rng.normal(size=(n, config.vitals_steps, config.vitals_channels)))
+
+
+def run_pass(model, kind, n):
+    """The tape of one attribution-mode pass of ``n`` rows: a recording
+    forward, or an integrated-gradients replay of one record's frozen maps."""
+    if kind == "recording":
+        ctx = Context(tape=Tape(), params=model.params, mode="attribution")
+        model.forward(ctx, *geometry_batch(model.config, n))
+        return ctx.tape
+    record = geometry_batch(model.config, 1)
+    frozen = FrozenState()
+    model.forward(Context(tape=Tape(record=False), params=model.params,
+                          mode="attribution", frozen=frozen), *record)
+    ctx = Context(tape=Tape(), params=model.params, mode="attribution",
+                  frozen=frozen.start_replay(), input_scale=(np.arange(n) + 0.5) / n)
+    model.forward(ctx, *(np.repeat(a, n, axis=0) for a in record))
+    return ctx.tape
+
+
+@pytest.mark.parametrize("bias_free", [False, True])
+@pytest.mark.parametrize("geometry", [DESK, MID], ids=["desk", "mid"])
+@pytest.mark.parametrize("kind", ["recording", "replay"])
+def test_pass_bytes_match_what_the_tape_holds(geometry, kind, bias_free):
+    model = TriModalNet(ModelConfig(**geometry, bias_free=bias_free))
+    one, two = (held_bytes(run_pass(model, kind, n)) for n in (1, 2))
+    fixed, per_row = model.pass_bytes(kind, *geometry_batch(model.config, 1))
+    assert abs(per_row - (two - one)) <= 0.15 * (two - one)
+    assert abs(fixed - (2 * one - two)) <= 0.15 * (2 * one - two)
+
+
+def test_pass_bytes_of_inference_and_capture_count_the_live_maps():
+    model = TriModalNet(ModelConfig(**MID))
+    arrays = geometry_batch(model.config, 1)
+    squares = (24 ** 2, 96 ** 2, 120 ** 2)
+    assert model.pass_bytes("inference", *arrays) == (0, 8 * 4 * max(squares))
+    assert model.pass_bytes("capture", *arrays) == (0, 8 * 4 * 2 * sum(squares))
+    with pytest.raises(ValueError, match="unknown pass kind"):
+        model.pass_bytes("training", *arrays)
+
+
+@pytest.mark.parametrize("kind", ["recording", "replay"])
+def test_a_pass_at_pass_rows_holds_at_most_the_budget(monkeypatch, kind):
+    from icuxai import model as model_module
+
+    model = TriModalNet(ModelConfig(**DESK))
+    arrays = geometry_batch(model.config, 1)
+    fixed, per_row = model.pass_bytes(kind, *arrays)
+    for budget in (fixed + 2 * per_row, fixed + 3 * per_row + per_row // 2,
+                   fixed + 5 * per_row - 1):
+        monkeypatch.setattr(model_module, "PASS_BYTES", budget)
+        rows = model.pass_rows(kind, *arrays)
+        assert rows > 1
+        assert held_bytes(run_pass(model, kind, rows)) <= budget
+        assert held_bytes(run_pass(model, kind, rows + 1)) > budget
 
 
 # --- fusion and ablation ---------------------------------------------------------

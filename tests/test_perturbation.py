@@ -1,12 +1,11 @@
-"""Removal ranking, baseline substitution, and AU-of-AUC curves."""
+"""Removal ranking and AU-of-AUC curves."""
 
 import math
 
 import numpy as np
 import pytest
 
-from icuxai.attribution import (EXPLAINER_KINDS, AttributionReport, gi_attribute,
-                                make_explainer)
+from icuxai.attribution import EXPLAINER_KINDS, AttributionReport, make_explainer
 from icuxai.metrics import auc_roc
 from icuxai.model import ModelConfig, TriModalNet
 from icuxai.perturbation import (
@@ -14,14 +13,12 @@ from icuxai.perturbation import (
     area_under,
     compare_explainers,
     default_fractions,
-    perturb,
     perturbation_curve,
     plot_table,
     rank_features,
     _rank_units,
 )
-from icuxai.records import (CLS_ID, PAD_ID, EventSequence, MultimodalDataset,
-                            MultimodalRecord, NoteTokens, VitalSigns)
+from icuxai.records import CLS_ID, PAD_ID, MultimodalDataset
 from icuxai.training import TrainConfig, train_model
 
 TINY = dict(width=8, heads=2, ffn_width=16, dropout=0.0,
@@ -142,68 +139,6 @@ def test_cohort_ranking_ranks_each_report_alone(order):
         alone, n = _rank_units([rep], order)
         assert count[i] == n[0] == len(_rank_by_sort(rep))
         assert columns[i].tolist() == alone[0].tolist()
-
-
-# --- removal -------------------------------------------------------------------------
-
-def make_record(seed=0):
-    rng = np.random.default_rng(seed)
-    ids = np.array([CLS_ID, 4, 5, 6, PAD_ID, PAD_ID], dtype=np.int64)
-    return MultimodalRecord(
-        record_id="r0", label=1,
-        events=EventSequence(rng.normal(size=(4, 5)), np.ones((4, 5))),
-        notes=NoteTokens(ids),
-        vitals=VitalSigns(rng.normal(size=(6, 3))))
-
-
-def test_perturb_nothing_is_identity():
-    rec = make_record()
-    out = perturb(rec, [])
-    assert out.events.values.tolist() == rec.events.values.tolist()
-    assert out.notes.ids.tolist() == rec.notes.ids.tolist()
-    assert out.vitals.values.tolist() == rec.vitals.values.tolist()
-    assert out is not rec
-
-
-def test_perturb_replaces_with_baselines():
-    rec = make_record()
-    out = perturb(rec, [("events", 7), ("notes", 2), ("vitals", 0)])
-    assert out.events.values.reshape(-1)[7] == 0.0
-    assert out.notes.ids[2] == PAD_ID
-    assert out.vitals.values[0, 0] == 0.0
-    # everything else untouched
-    assert out.events.values.reshape(-1)[6] == rec.events.values.reshape(-1)[6]
-    assert out.notes.ids[1] == rec.notes.ids[1]
-
-
-def test_perturb_remove_all_gives_baseline_record():
-    rec = make_record()
-    rep = gi_attribute(TriModalNet(ModelConfig(**TINY, seed=1)), rec)
-    everything = rank_features(rep)
-    out = perturb(rec, everything)
-    assert np.all(out.events.values == 0.0)
-    assert np.all(out.vitals.values == 0.0)
-    assert out.notes.ids[0] == CLS_ID
-    assert np.all(out.notes.ids[1:] == PAD_ID)
-
-
-def test_perturb_is_idempotent():
-    rec = make_record()
-    removed = [("events", 3), ("notes", 1), ("vitals", 5)]
-    once = perturb(rec, removed)
-    twice = perturb(once, removed)
-    assert once.events.values.tolist() == twice.events.values.tolist()
-    assert once.notes.ids.tolist() == twice.notes.ids.tolist()
-
-
-def test_perturb_validates_indices():
-    rec = make_record()
-    with pytest.raises(IndexError):
-        perturb(rec, [("events", 20)])
-    with pytest.raises(IndexError):
-        perturb(rec, [("notes", 6)])
-    with pytest.raises(ValueError):
-        perturb(rec, [("images", 0)])
 
 
 # --- area --------------------------------------------------------------------------

@@ -76,19 +76,6 @@ def test_loading_a_non_dataset_container_fails(tmp_path):
         MultimodalDataset.load(path)
 
 
-def test_from_records_round_trip():
-    ds = make_dataset(n=3)
-    records = [ds.record(i) for i in range(3)]
-    rebuilt = MultimodalDataset.from_records(records, meta=ds.meta)
-    np.testing.assert_array_equal(rebuilt.events, ds.events)
-    assert rebuilt.ids == ds.ids
-
-
-def test_from_records_rejects_empty_list():
-    with pytest.raises(SchemaError, match="zero records"):
-        MultimodalDataset.from_records([])
-
-
 # --- validation --------------------------------------------------------------
 
 def test_notes_must_start_with_cls():

@@ -1,4 +1,4 @@
-"""Training-engine tests: loss, optimizer, schedule, splits, CV."""
+"""Training-engine tests: loss, optimizer, schedule, the training loop."""
 
 import math
 import weakref
@@ -17,9 +17,7 @@ from icuxai.training import (
     TrainConfig,
     clip_global_norm,
     cross_entropy,
-    cross_validate,
     lr_schedule,
-    make_split_plan,
     train_model,
     upsample_positives,
     weighted_ce_from_logits,
@@ -188,51 +186,6 @@ def test_upsample_without_positives_is_an_error():
         upsample_positives(np.zeros(4, dtype=int), np.random.default_rng(0))
 
 
-# --- split plans ------------------------------------------------------------------------
-
-def test_split_plan_partitions_and_stratifies():
-    rng = np.random.default_rng(0)
-    labels = (rng.random(100) < 0.2).astype(np.int64)
-    plan = make_split_plan(labels, k=5, seed=3)
-    assert np.all((plan.folds >= 0) & (plan.folds < 5))
-    seen = np.zeros(100, dtype=int)
-    pos_counts = []
-    for fold in range(5):
-        train, test = plan.split(fold)
-        assert np.intersect1d(train, test).size == 0
-        assert np.union1d(train, test).size == 100
-        seen[test] += 1
-        pos_counts.append(int(np.sum(labels[test])))
-    assert np.all(seen == 1)  # the folds partition the data
-    assert max(pos_counts) - min(pos_counts) <= 1  # stratified
-
-
-def test_split_plan_train_val_is_stratified_and_disjoint():
-    labels = np.array([1] * 20 + [0] * 80)
-    plan = make_split_plan(labels, k=5, val_fraction=0.2, seed=0)
-    train, test = plan.split(0)
-    fit, val = plan.train_val(0, labels)
-    assert np.intersect1d(fit, val).size == 0
-    np.testing.assert_array_equal(np.sort(np.concatenate([fit, val])), np.sort(train))
-    assert np.sum(labels[val] == 1) >= 1
-    assert np.sum(labels[val] == 0) >= 1
-    assert val.size == pytest.approx(0.2 * train.size, abs=2)
-
-
-def test_split_plan_needs_enough_of_each_class():
-    labels = np.array([1, 1, 0, 0, 0, 0, 0, 0])
-    with pytest.raises(ValueError, match="stratify"):
-        make_split_plan(labels, k=5)
-    with pytest.raises(ValueError, match="k-fold"):
-        make_split_plan(np.array([0, 1]), k=1)
-
-
-def test_split_plan_rejects_bad_fold_index():
-    plan = make_split_plan(np.array([0, 1] * 10), k=2)
-    with pytest.raises(ValueError, match="fold"):
-        plan.split(5)
-
-
 # --- end-to-end training -----------------------------------------------------------------
 
 TINY = dict(width=8, heads=2, ffn_width=16, dropout=0.0,
@@ -313,20 +266,6 @@ def test_training_is_seed_deterministic():
     np.testing.assert_array_equal(outs[0], outs[1])
 
 
-def test_cross_validate_reports_per_fold_metrics():
-    ds = separable_dataset(n=30, seed=4)
-    plan = make_split_plan(ds.labels, k=3, seed=0)
-    config = TrainConfig(batch_size=16, learning_rate=0.01, epochs=3,
-                         upsample=False, seed=0)
-    rows = cross_validate(ds, lambda: TriModalNet(ModelConfig(**TINY, seed=4)),
-                          config, plan)
-    assert len(rows) == 3
-    assert sum(r["n_test"] for r in rows) == 30
-    for r in rows:
-        assert 0.0 <= r["auc_roc"] <= 1.0
-        assert 0.0 <= r["auc_pr"] <= 1.0
-
-
 def test_train_config_validation():
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(batch_size=0)
@@ -336,6 +275,16 @@ def test_train_config_validation():
         TrainConfig(dropout=1.0)
     with pytest.raises(ValueError, match="class_weight"):
         TrainConfig(class_weight=0.0)
+
+
+def test_clip_norm_must_be_non_negative_and_zero_turns_clipping_off():
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="clip_norm must be non-negative"):
+            TrainConfig(clip_norm=bad)
+    assert TrainConfig(clip_norm=0.0).clip_norm == 0.0
+    grads = {"w": np.array([3.0, 4.0])}
+    kept, norm = clip_global_norm(grads, 0.0)
+    assert norm == 5.0 and kept["w"].tolist() == [3.0, 4.0]
 
 
 # --- tape lifetime and per-epoch figures ----------------------------------------------
@@ -371,9 +320,10 @@ def test_each_training_step_frees_its_tape_before_the_next_forward(monkeypatch):
 def test_each_ig_pass_frees_its_tape_before_the_next_forward(monkeypatch):
     ds = separable_dataset(n=4, seed=7)
     model = TriModalNet(ModelConfig(**TINY, seed=7))
-    cells = TINY["width"] * (TINY["event_hours"] + TINY["note_len"]
-                             + TINY["vitals_steps"])
-    monkeypatch.setattr("icuxai.attribution._IG_CELL_CAP", 3 * cells)
+    rec = ds.record(0)
+    fixed, per_row = model.pass_bytes("replay", rec.events.values[None],
+                                      rec.notes.ids[None], rec.vitals.values[None])
+    monkeypatch.setattr("icuxai.model.PASS_BYTES", fixed + 3 * per_row)
     seen = _watch_recording_tapes(monkeypatch)
     integrated_gradients(model, [ds.record(0), ds.record(1)], steps=7)
     assert len(seen) == 2 * 3  # per record, alphas in passes of 3, 3 and 1
