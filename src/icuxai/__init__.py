@@ -11,7 +11,6 @@ The package splits into a small stack of layers:
 * :mod:`icuxai.perturbation` deletion-curve faithfulness evaluation
 * :mod:`icuxai.preprocess`   raw CSV/JSONL exports -> model-ready grids
 * :mod:`icuxai.synthetic`    cohorts with planted, recoverable signals
-* :mod:`icuxai.estimator`    fit/predict facade over the above
 * :mod:`icuxai.cli`          the ``icuxai`` command-line pipeline
 """
 
@@ -22,9 +21,9 @@ from .attribution import (AttributionReport, EXPLAINER_KINDS, Explainer,
                           gi_attribute, integrated_gradients, make_explainer)
 from .errors import (CheckpointError, DataError, NotFittedError, ParseError,
                      RecordRejectedError, SchemaError)
-from .estimator import MortalityEstimator
 from .metrics import auc_pr, auc_roc
-from .model import ModelConfig, TriModalNet, load_checkpoint, save_checkpoint
+from .model import (ModelConfig, TriModalNet, load_checkpoint, model_config_for,
+                    save_checkpoint)
 from .perturbation import (PerturbationCurve, area_under, compare_explainers,
                            default_fractions, perturbation_curve)
 from .preprocess import (EventPreprocessor, NormalValueTable, NotePreprocessor,
@@ -42,9 +41,8 @@ __all__ = [
     "integrated_gradients", "make_explainer",
     "CheckpointError", "DataError", "NotFittedError", "ParseError",
     "RecordRejectedError", "SchemaError",
-    "MortalityEstimator",
     "auc_pr", "auc_roc",
-    "ModelConfig", "TriModalNet", "load_checkpoint",
+    "ModelConfig", "TriModalNet", "load_checkpoint", "model_config_for",
     "save_checkpoint",
     "PerturbationCurve", "area_under", "compare_explainers",
     "default_fractions", "perturbation_curve",

@@ -545,7 +545,7 @@ _EXPLAINERS = {
     "attention-rollout": lambda ex, rec, tc: attention_rollout(ex.model, rec, tc),
     "integrated-gradients":
         lambda ex, rec, tc: integrated_gradients(ex.model, rec, tc, ex.steps),
-    "lrp-epsilon": lambda ex, rec, tc: epsilon_lrp(ex.model, rec, tc, ex.eps),
+    "lrp-epsilon": lambda ex, rec, tc: epsilon_lrp(ex.model, rec, tc),
     "lrptrans":
         lambda ex, rec, tc: gi_attribute(ex.model, rec, tc, mode="attribution"),
 }
@@ -556,8 +556,7 @@ EXPLAINER_KINDS = tuple(_EXPLAINERS)
 class Explainer:
     """One attribution method bound to a model, with fixed options."""
 
-    def __init__(self, kind: str, model, *, seed: int = 0, steps: int = 20,
-                 eps: float = 1e-6):
+    def __init__(self, kind: str, model, *, seed: int = 0, steps: int = 20):
         if kind not in EXPLAINER_KINDS:
             raise ValueError(
                 f"unknown explainer kind {kind!r}; expected one of {EXPLAINER_KINDS}")
@@ -565,7 +564,6 @@ class Explainer:
         self.model = model
         self.seed = int(seed)
         self.steps = int(steps)
-        self.eps = float(eps)
 
     def explain(self, record: MultimodalRecord,
                 target_class: int = 1) -> AttributionReport:

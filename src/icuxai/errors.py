@@ -29,4 +29,4 @@ class CheckpointError(DataError):
 
 
 class NotFittedError(RuntimeError):
-    """An estimator method was called before ``fit``."""
+    """A preprocessor's ``transform`` was called before its ``fit``."""

@@ -328,10 +328,6 @@ class TriModalNet:
             out.append(softmax_probabilities(logits.data))
         return np.concatenate(out, axis=0)
 
-    def predict(self, events, notes, vitals, batch_size: int = 256) -> np.ndarray:
-        probs = self.predict_proba(events, notes, vitals, batch_size)
-        return (probs[:, 1] >= 0.5).astype(np.int64)
-
 
 # --- persistence -------------------------------------------------------------
 

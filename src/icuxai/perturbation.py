@@ -126,8 +126,7 @@ def area_under(fractions, values) -> float:
 
 def perturbation_curve(model, dataset: MultimodalDataset, kind: str, *,
                        target_class: int = 1, fractions=None, seed: int = 0,
-                       order: str = "ascending", steps: int = 20,
-                       eps: float = 1e-6) -> PerturbationCurve:
+                       order: str = "ascending", steps: int = 20) -> PerturbationCurve:
     """Remove each record's least-relevant units and rescore the test set.
 
     Attributions are computed once per record on the unperturbed input,
@@ -136,7 +135,7 @@ def perturbation_curve(model, dataset: MultimodalDataset, kind: str, *,
     copies for every fraction are scored in one ``predict_proba`` call.
     """
     fractions = default_fractions() if fractions is None else np.asarray(fractions)
-    explainer = make_explainer(kind, model, seed=seed, steps=steps, eps=eps)
+    explainer = make_explainer(kind, model, seed=seed, steps=steps)
     reports = explainer.explain_cohort(
         [dataset.record(i) for i in range(len(dataset))], target_class)
     columns, count = _rank_units(reports, order)
@@ -171,14 +170,13 @@ def perturbation_curve(model, dataset: MultimodalDataset, kind: str, *,
 def compare_explainers(model, dataset: MultimodalDataset, *,
                        kinds=EXPLAINER_KINDS, target_class: int = 1,
                        fractions=None, seed: int = 0, order: str = "ascending",
-                       steps: int = 20, eps: float = 1e-6,
-                       log_fn=None) -> list[PerturbationCurve]:
+                       steps: int = 20, log_fn=None) -> list[PerturbationCurve]:
     """One perturbation curve per explainer, same grid and seed throughout."""
     curves = []
     for kind in kinds:
         curve = perturbation_curve(
             model, dataset, kind, target_class=target_class,
-            fractions=fractions, seed=seed, order=order, steps=steps, eps=eps)
+            fractions=fractions, seed=seed, order=order, steps=steps)
         if log_fn is not None:
             log_fn({"event": "perturbation-curve", "explainer": kind,
                     "au": curve.au})

@@ -119,10 +119,6 @@ class NoteTokens:
     def __post_init__(self):
         self.ids = check_notes(np.asarray(self.ids)[None])[0]
 
-    def length(self) -> int:
-        """Number of non-pad positions (including [CLS])."""
-        return int(np.sum(self.ids != PAD_ID))
-
 
 @dataclass
 class VitalSigns:
@@ -198,9 +194,6 @@ class MultimodalDataset:
             ids=[self.ids[i] for i in idx],
             meta=self.meta,
         )
-
-    def prevalence(self) -> float:
-        return float(np.mean(self.labels)) if len(self) else 0.0
 
     def save(self, path) -> None:
         arrays = {

@@ -187,7 +187,8 @@ def train_model(model, dataset: MultimodalDataset, config: TrainConfig,
                 train_idx=None, val_idx=None,
                 active: tuple[str, ...] = MODALITIES,
                 log_fn=None) -> TrainResult:
-    """Optimize ``model`` in place on the given training indices.
+    """Optimize ``model`` in place on the given training indices, which
+    must name at least one record (``ValueError`` otherwise).
 
     When ``val_idx`` is provided, validation AUC-ROC drives early
     stopping (patience from the config) and the best-epoch weights are
@@ -203,6 +204,8 @@ def train_model(model, dataset: MultimodalDataset, config: TrainConfig,
     labels = dataset.labels
     train_idx = np.arange(len(dataset)) if train_idx is None \
         else np.asarray(train_idx, dtype=np.int64)
+    if train_idx.size == 0:
+        raise ValueError("train_model needs at least one training record")
     val_idx = None if val_idx is None else np.asarray(val_idx, dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
     if config.upsample:

@@ -579,7 +579,7 @@ def test_explain_dispatcher_matches_direct_call(model):
     ("attention-last", "attention_last", {}, (), {}),
     ("attention-rollout", "attention_rollout", {}, (), {}),
     ("integrated-gradients", "integrated_gradients", {"steps": 3}, (3,), {}),
-    ("lrp-epsilon", "epsilon_lrp", {"eps": 0.5}, (0.5,), {}),
+    ("lrp-epsilon", "epsilon_lrp", {}, (), {}),
     ("lrptrans", "gi_attribute", {}, (), {"mode": "attribution"}),
 ])
 def test_explainer_looks_its_function_up_when_called(monkeypatch, kind, name,

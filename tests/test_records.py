@@ -42,7 +42,6 @@ def test_dataset_basic_accessors():
     assert rec.label in (0, 1)
     np.testing.assert_array_equal(rec.events.values, ds.events[2])
     np.testing.assert_array_equal(rec.notes.ids, ds.notes[2])
-    assert 0.0 <= ds.prevalence() <= 1.0
 
 
 def test_subset_selects_rows_and_ids():
@@ -168,8 +167,3 @@ def test_record_dataclasses_validate_on_construction():
     with pytest.raises(SchemaError):
         MultimodalRecord("r", 3, EventSequence(np.zeros((1, 1)), np.ones((1, 1))),
                          NoteTokens(np.array([CLS_ID])), VitalSigns(np.zeros((1, 1))))
-
-
-def test_note_tokens_length_counts_non_pads():
-    nt = NoteTokens(np.array([CLS_ID, 5, 6, PAD_ID, PAD_ID]))
-    assert nt.length() == 3

@@ -221,6 +221,17 @@ def test_training_loss_drops_ninety_percent_on_separable_data():
     assert last <= 0.1 * first, f"loss only went {first:.4f} -> {last:.4f}"
 
 
+@pytest.mark.parametrize("logged", [False, True])
+def test_empty_training_index_is_an_error_before_the_first_epoch(logged):
+    events = []
+    model = TriModalNet(ModelConfig(**TINY))
+    config = TrainConfig(epochs=2, upsample=False)
+    with pytest.raises(ValueError, match="at least one training record"):
+        train_model(model, separable_dataset(n=10), config, train_idx=[],
+                    log_fn=events.append if logged else None)
+    assert events == []
+
+
 def test_early_stopping_restores_the_best_weights():
     ds = separable_dataset(n=40, seed=1)
     model = TriModalNet(ModelConfig(**TINY, seed=1))
