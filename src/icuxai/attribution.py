@@ -29,7 +29,9 @@ a few batched passes instead of one pass per record.
 
 from __future__ import annotations
 
+import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,17 +262,39 @@ def midpoint_alphas(steps: int) -> np.ndarray:
     return (np.arange(1, steps + 1) - 0.5) / steps
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, which caps the threads of one
+    integrated-gradients call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _ig_pass(model, frozen: FrozenState, arrays, alphas: np.ndarray,
              target_class: int) -> dict[str, np.ndarray]:
     """Input gradients of one replayed pass: the record repeated once per
     alpha, row ``i`` probed at ``alphas[i]``. The pass's tape lives only
     inside this call, so it is freed before the next pass records."""
     ctx = Context(tape=Tape(), params=model.params, mode="attribution",
-                  frozen=frozen.start_replay(), input_scale=alphas)
+                  frozen=frozen.replay(), input_scale=alphas)
     out = model.forward(ctx, *(np.repeat(a, alphas.size, axis=0) for a in arrays))
     ad.backward(ad.slice_(out, (slice(None), target_class)),
                 seed=np.ones(alphas.size), wrt=ctx.probes.values())
     return {m: _probe_grad(ctx, m) for m in MODALITIES}
+
+
+def _in_order(fn, items: list, workers: int) -> list:
+    """``[fn(x) for x in items]``, on ``workers`` threads when more than
+    one. The pool is joined before this returns, also when ``fn`` raises,
+    and the first exception in item order propagates unchanged."""
+    if workers == 1:
+        return [fn(x) for x in items]
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="icuxai-ig")
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def integrated_gradients(model, records, target_class: int = 1, steps: int = 20):
@@ -296,11 +320,20 @@ def integrated_gradients(model, records, target_class: int = 1, steps: int = 20)
     its own input scale, and the frozen batch-1 maps broadcast over the
     rows. Records do not interact in the network, so row ``i`` gets the
     gradient a pass at ``alpha_i`` alone would get, up to the last ulps
-    BLAS rounds differently at another row count. The grid is cut into
-    passes of as many alphas as fit the byte budget (a ``replay`` pass of
-    :meth:`~icuxai.model.TriModalNet.pass_rows`), and the per-row
-    gradients are summed in alpha order. A cohort runs one record at a
-    time, since the alpha grid already fills the passes.
+    BLAS rounds differently at another row count.
+
+    The passes run on ``W`` threads, one tape and one replay cursor
+    each: ``W`` is the smaller of the CPUs this process may use and the
+    passes the grid needs at the full byte budget, so a grid that fits
+    one pass runs on the calling thread alone. The ``W`` passes in
+    flight share one budget (``in_flight`` of
+    :meth:`~icuxai.model.TriModalNet.pass_rows` for a ``replay`` pass):
+    the parameters, positional tables, frozen maps and LayerNorm
+    denominators they all read are counted once, and each pass takes its share of the rows. The
+    per-row gradients are summed in alpha order once every pass has
+    returned, so the thread schedule changes no bit, and the pool is
+    joined before the call returns. A cohort runs one record at a time,
+    since the alpha grid already fills the passes.
     """
     target_class = _check_target_class(target_class)
     alphas = midpoint_alphas(steps)
@@ -313,13 +346,17 @@ def integrated_gradients(model, records, target_class: int = 1, steps: int = 20)
         end = Context(tape=Tape(record=False), params=model.params,
                       mode="attribution", frozen=frozen)
         logits = model.forward(end, *arrays)
-        per_pass = model.pass_rows("replay", *arrays)
+        passes = -(-alphas.size // model.pass_rows("replay", *arrays))
+        workers = min(_usable_cpus(), passes)
+        per_pass = model.pass_rows("replay", *arrays, in_flight=workers)
+        grads = _in_order(
+            lambda a: _ig_pass(model, frozen, arrays, a, target_class),
+            [alphas[i:i + per_pass] for i in range(0, alphas.size, per_pass)],
+            workers)
         acc: dict[str, np.ndarray] = {}
-        for start in range(0, alphas.size, per_pass):
-            grads = _ig_pass(model, frozen, arrays, alphas[start:start + per_pass],
-                             target_class)
+        for pass_grads in grads:
             for m in MODALITIES:
-                for g in grads[m]:
+                for g in pass_grads[m]:
                     acc[m] = acc[m] + g if m in acc else g
         r = {m: end.probes[m].data[0] * (acc[m] / steps) for m in MODALITIES}
         return [(logits.data[0, target_class], r["events"], r["notes"].sum(axis=-1),

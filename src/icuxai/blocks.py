@@ -17,6 +17,7 @@ sub-layer's skip connection, as in the original encoder stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,6 +77,9 @@ class FrozenState:
     constants. The replayed function is exactly the locally-linear map
     whose gradients attribution mode computes, which lets us verify
     those gradients against finite differences.
+
+    :meth:`replay` hands each replayed pass its own cursor over the
+    stored arrays, so passes on several threads can replay one record.
     """
 
     def __init__(self):
@@ -91,10 +95,12 @@ class FrozenState:
         self._cursors[kind] = i + 1
         return self._stores[kind][i]
 
-    def start_replay(self) -> "FrozenState":
-        self.recording = False
-        self._cursors = {"attn": 0, "ln": 0}
-        return self
+    def replay(self) -> "FrozenState":
+        """A fresh replay cursor over the same stored arrays."""
+        cursor = FrozenState()
+        cursor.recording = False
+        cursor._stores = self._stores
+        return cursor
 
 
 @dataclass
@@ -165,9 +171,13 @@ def xavier_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarra
     return rng.uniform(-limit, limit, size=(n_in, n_out))
 
 
+@lru_cache(maxsize=16)
 def sinusoidal_positions(length: int, width: int) -> np.ndarray:
     """Fixed positional code: (pos, 2i) -> sin, (pos, 2i+1) -> cos of
-    pos / 10000^(2i/width). Requires an even width."""
+    pos / 10000^(2i/width). Requires an even width.
+
+    The table is built once per shape and returned read-only, so passes
+    running at once share one copy, as they share the parameters."""
     if width % 2 != 0:
         raise ValueError(f"positional width must be even, got {width}")
     pos = np.arange(length, dtype=np.float64)[:, None]
@@ -176,6 +186,7 @@ def sinusoidal_positions(length: int, width: int) -> np.ndarray:
     out = np.empty((length, width), dtype=np.float64)
     out[:, 0::2] = np.sin(angle)
     out[:, 1::2] = np.cos(angle)
+    out.flags.writeable = False
     return out
 
 

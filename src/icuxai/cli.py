@@ -30,7 +30,8 @@ section is named after the subcommand::
     learning_rate = 0.003
 
 Exit codes: 0 success, 1 usage error (bad flags, bad option values),
-2 data error (missing or malformed inputs, rejected records), 3 numerical
+2 data error (missing or malformed inputs, rejected records, a checkpoint
+``explain`` or ``perturb`` cannot explain), 3 numerical
 error (a NaN or Inf in the forward pass or in an attribution gradient).
 An error exit also appends an ``error`` event to ``log.jsonl`` when the
 run directory already exists.
@@ -467,8 +468,20 @@ def _picked_records(ds, meta, args, budget: int) -> list[int]:
     return list(idx[:budget])
 
 
+def _require_every_modality(meta, command: str) -> None:
+    """The explainers and the deletion curves' rescoring run every
+    encoder, so a model trained on fewer modalities would be explained
+    on inputs it never saw: refuse it."""
+    active = tuple(meta.get("extra", {}).get("active", MODALITIES))
+    if set(active) != set(MODALITIES):
+        raise DataError(f"{command} needs a model trained on all of "
+                        f"{', '.join(MODALITIES)}; this checkpoint was trained "
+                        f"on {', '.join(active)} only")
+
+
 def cmd_explain(args, opts, out, log):
     model, meta = _load_model(args.checkpoint)
+    _require_every_modality(meta, "explain")
     ds = _load_dataset(args.data)
     kinds = _parse_kinds(opts["kinds"])
     picked = _picked_records(ds, meta, args, opts["records"])
@@ -516,6 +529,7 @@ PERTURB_OPTIONS = {
 
 def cmd_perturb(args, opts, out, log):
     model, meta = _load_model(args.checkpoint)
+    _require_every_modality(meta, "perturb")
     ds = _load_dataset(args.data)
     kinds = _parse_kinds(opts["explainers"])
     if opts["order"] not in ("ascending", "descending"):

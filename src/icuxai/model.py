@@ -297,11 +297,13 @@ class TriModalNet:
             fixed += 2 * sum(blocks)
         return 8 * fixed, 8 * per_row
 
-    def pass_rows(self, kind: str, *arrays) -> int:
+    def pass_rows(self, kind: str, *arrays, in_flight: int = 1) -> int:
         """Rows of ``arrays`` a pass of ``kind`` takes: at least one, else
-        as many as :meth:`pass_bytes` fits into ``PASS_BYTES``."""
+        as many as :meth:`pass_bytes` fits into ``PASS_BYTES``. With
+        ``in_flight`` passes alive at once, they split the budget's rows
+        and hold ``fixed`` once, since they share those arrays."""
         fixed, per_row = self.pass_bytes(kind, *arrays)
-        return max(1, (PASS_BYTES - fixed) // per_row)
+        return max(1, (PASS_BYTES - fixed) // (in_flight * per_row))
 
     def predict_proba(self, events, notes, vitals, batch_size: int = 256,
                       active: tuple[str, ...] = MODALITIES) -> np.ndarray:

@@ -7,13 +7,15 @@ midpoint-rule completeness on a quadratic, and exactness properties
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from icuxai import attribution
 from icuxai import autodiff as ad
-from icuxai.autodiff import Tape
+from icuxai.autodiff import NonFiniteError, Tape
 from icuxai.attribution import (
     CSV_HEADER,
     EXPLAINER_KINDS,
@@ -270,7 +272,7 @@ def test_ig_single_step_is_midpoint_gradient(model):
     model.forward(base, rec.events.values[None], rec.notes.ids[None],
                   rec.vitals.values[None])
     ctx = Context(tape=Tape(), params=model.params, mode="attribution",
-                  frozen=frozen.start_replay(), input_scale=0.5)
+                  frozen=frozen.replay(), input_scale=0.5)
     logits = model.forward(ctx, rec.events.values[None], rec.notes.ids[None],
                            rec.vitals.values[None])
     ad.backward(ad.slice_(logits, (0, 1)))
@@ -298,7 +300,7 @@ def _ig_one_alpha_per_tape(model, rec, steps, target_class=1):
     acc = {}
     for alpha in midpoint_alphas(steps):
         ctx = Context(tape=Tape(), params=model.params, mode="attribution",
-                      frozen=frozen.start_replay(), input_scale=float(alpha))
+                      frozen=frozen.replay(), input_scale=float(alpha))
         logits = model.forward(ctx, *arrays)
         ad.backward(ad.slice_(logits, (0, target_class)))
         for m in ("events", "notes", "vitals"):
@@ -335,9 +337,13 @@ def _budget_for_rows(monkeypatch, net, kind, rows):
     monkeypatch.setattr(model_module, "PASS_BYTES", fixed + rows * per_row)
 
 
-def test_batched_ig_uneven_chunks_match_one_alpha_per_tape(model, monkeypatch):
-    rec = make_record(23)
-    _budget_for_rows(monkeypatch, model, "replay", 3)
+def _pin_cpus(monkeypatch, cpus):
+    """Let integrated gradients run its passes on at most ``cpus`` threads."""
+    monkeypatch.setattr(attribution, "_usable_cpus", lambda: cpus)
+
+
+def _ig_rows_per_forward(model, monkeypatch, rec, steps):
+    """IG's report and the rows of every forward it ran (endpoint first)."""
     rows_per_pass = []
     real_forward = model.forward
 
@@ -346,12 +352,91 @@ def test_batched_ig_uneven_chunks_match_one_alpha_per_tape(model, monkeypatch):
         return real_forward(ctx, events, *rest, **kw)
 
     monkeypatch.setattr(model, "forward", counting_forward)
-    rep = integrated_gradients(model, rec, steps=7)
+    rep = integrated_gradients(model, rec, steps=steps)
     monkeypatch.undo()
+    return rep, rows_per_pass
+
+
+def test_batched_ig_uneven_chunks_match_one_alpha_per_tape(model, monkeypatch):
+    rec = make_record(23)
+    _pin_cpus(monkeypatch, 1)
+    _budget_for_rows(monkeypatch, model, "replay", 3)
+    rep, rows_per_pass = _ig_rows_per_forward(model, monkeypatch, rec, 7)
     assert rows_per_pass == [1, 3, 3, 1]  # endpoint, then alphas in chunks of 3
     for got, want in zip((rep.events, rep.notes, rep.vitals),
                          _ig_one_alpha_per_tape(model, rec, 7)):
         _assert_close_relative(got, want)
+
+
+def test_batched_ig_uneven_chunks_on_two_threads_match_one_alpha_per_tape(
+        model, monkeypatch):
+    rec = make_record(23)
+    _pin_cpus(monkeypatch, 2)
+    _budget_for_rows(monkeypatch, model, "replay", 6)  # two passes of 3 in flight
+    rep, rows_per_pass = _ig_rows_per_forward(model, monkeypatch, rec, 7)
+    assert rows_per_pass[0] == 1 and sorted(rows_per_pass[1:]) == [1, 3, 3]
+    for got, want in zip((rep.events, rep.notes, rep.vitals),
+                         _ig_one_alpha_per_tape(model, rec, 7)):
+        _assert_close_relative(got, want)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_ig_on_two_threads_gives_the_bits_of_one_thread_at_equal_rows(
+        model, monkeypatch, rows):
+    rec = make_record(24)
+    reports = []
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        _budget_for_rows(monkeypatch, model, "replay", cpus * rows)
+        reports.append(integrated_gradients(model, rec, steps=20))
+    one, two = reports
+    for a, b in ((one.events, two.events), (one.notes, two.notes),
+                 (one.vitals, two.vitals)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_one_row_ig_passes_equal_one_alpha_per_tape_bit_for_bit(model, monkeypatch):
+    rec = make_record(25)
+    # more threads than this host has cores, switching often: a replay
+    # cursor shared between passes would hand a pass another's maps
+    _pin_cpus(monkeypatch, 4)
+    _budget_for_rows(monkeypatch, model, "replay", 4)  # four passes of one row
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rep = integrated_gradients(model, rec, steps=20)
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip((rep.events, rep.notes, rep.vitals),
+                         _ig_one_alpha_per_tape(model, rec, 20)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_ig_worker_threads_are_joined_and_pass_errors_surface(model, monkeypatch, fail):
+    rec = make_record(26)
+    _pin_cpus(monkeypatch, 2)
+    _budget_for_rows(monkeypatch, model, "replay", 2)
+    real_pass = attribution._ig_pass
+    threads = set()
+    error = NonFiniteError("non-finite gradient at the notes input")
+
+    def ig_pass(model, frozen, arrays, alphas, target_class):
+        threads.add(threading.current_thread().name)
+        if fail and alphas[0] == midpoint_alphas(20)[5]:
+            raise error
+        return real_pass(model, frozen, arrays, alphas, target_class)
+
+    monkeypatch.setattr(attribution, "_ig_pass", ig_pass)
+    before = threading.active_count()
+    if fail:
+        with pytest.raises(NonFiniteError) as caught:
+            integrated_gradients(model, rec, steps=20)
+        assert caught.value is error
+    else:
+        integrated_gradients(model, rec, steps=20)
+    assert threading.active_count() == before
+    assert threading.current_thread().name not in threads
 
 
 # --- attention readouts --------------------------------------------------------------

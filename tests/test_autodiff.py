@@ -1,6 +1,7 @@
 """Tape, primitives, backward, and the finite-difference oracle."""
 
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,26 +24,32 @@ def _leaf(arr, tape=None):
     return tape.leaf(np.asarray(arr, dtype=np.float64))
 
 
-# --- heap padding ---------------------------------------------------------
+# --- heap padding and arenas ----------------------------------------------
 
 def test_heap_top_pad_is_set_unless_the_environment_sets_it(monkeypatch):
     calls = []
 
-    class FakeLibc:
-        def mallopt(self, param, value):
-            calls.append((param, value))
-            return 1
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
 
-    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: FakeLibc())
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
     monkeypatch.delenv("MALLOC_TOP_PAD_", raising=False)
-    ad._pad_heap_top()
-    assert calls == [(-2, ad.HEAP_TOP_PAD)]  # M_TOP_PAD
+    monkeypatch.delenv("MALLOC_ARENA_MAX", raising=False)
+    ad._pad_heap_top_in_one_arena()
+    assert calls == [(-2, ad.HEAP_TOP_PAD), (-8, 1)]  # M_TOP_PAD, M_ARENA_MAX
+    calls.clear()
     monkeypatch.setenv("MALLOC_TOP_PAD_", "0")
-    ad._pad_heap_top()
-    assert len(calls) == 1
+    ad._pad_heap_top_in_one_arena()
+    assert calls == [(-8, 1)]
+    calls.clear()
     monkeypatch.delenv("MALLOC_TOP_PAD_")
+    monkeypatch.setenv("MALLOC_ARENA_MAX", "4")
+    ad._pad_heap_top_in_one_arena()
+    assert calls == [(-2, ad.HEAP_TOP_PAD)]
+    monkeypatch.delenv("MALLOC_ARENA_MAX")
     monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: object())  # no mallopt
-    ad._pad_heap_top()
+    ad._pad_heap_top_in_one_arena()
 
 
 # --- forward values -------------------------------------------------------

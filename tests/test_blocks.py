@@ -306,17 +306,17 @@ def test_block_attribution_gradients_match_frozen_replay_differences():
     recorded_grad = x.grad.copy()
 
     def f(xt):
-        frozen.start_replay()
-        rctx = Context(tape=xt.tape, params=store, mode="attribution", frozen=frozen)
+        rctx = Context(tape=xt.tape, params=store, mode="attribution",
+                       frozen=frozen.replay())
         out = block.forward(rctx, xt)
         return ad.mul(out, xt.tape.leaf(r)).sum()
 
     assert ad.grad_check(f, x0, step=1e-5) < 1e-6
 
     # replay at the base point reproduces both the value and the gradient
-    frozen.start_replay()
     tape2 = Tape()
-    ctx2 = Context(tape=tape2, params=store, mode="attribution", frozen=frozen)
+    ctx2 = Context(tape=tape2, params=store, mode="attribution",
+                   frozen=frozen.replay())
     x2 = tape2.leaf(x0)
     y2 = block.forward(ctx2, x2)
     np.testing.assert_array_equal(y2.data, y.data)
@@ -410,11 +410,11 @@ def test_frozen_state_cursor_round_trip():
     frozen = FrozenState()
     frozen.add("ln", np.array([1.0]))
     frozen.add("ln", np.array([2.0]))
-    frozen.start_replay()
-    assert frozen.take("ln")[0] == 1.0
-    assert frozen.take("ln")[0] == 2.0
-    frozen.start_replay()
-    assert frozen.take("ln")[0] == 1.0
+    first, second = frozen.replay(), frozen.replay()
+    assert frozen.recording and not first.recording
+    assert first.take("ln")[0] == 1.0
+    assert first.take("ln")[0] == 2.0
+    assert second.take("ln")[0] == 1.0  # each cursor walks the arrays on its own
 
 
 def test_probe_applies_input_scale():

@@ -291,6 +291,29 @@ def test_data_errors_exit_2(workdir, tmp_path):
         == [("train", 2), ("eval", 2), ("explain", 2)]
 
 
+@pytest.fixture(scope="module")
+def events_only(workdir, tmp_path_factory):
+    """A checkpoint trained with ``--active events``."""
+    out = tmp_path_factory.mktemp("events-only")
+    argv = list(TRAIN_ARGS)
+    argv[argv.index("--epochs") + 1] = "1"
+    assert run(["train", "--data", str(workdir / "data.npz"), "--out", str(out),
+                "--active", "events"] + argv) == 0
+    return out / "model.npz"
+
+
+@pytest.mark.parametrize("command", ["explain", "perturb"])
+def test_explain_and_perturb_refuse_a_model_trained_on_fewer_modalities(
+        command, events_only, workdir, tmp_path, capsys):
+    capsys.readouterr()
+    assert run([command, "--checkpoint", str(events_only), "--data",
+                str(workdir / "data.npz"), "--out", str(tmp_path)]) == 2
+    message = (f"{command} needs a model trained on all of events, notes, "
+               "vitals; this checkpoint was trained on events only")
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
+
+
 @pytest.mark.parametrize("header", [b"[]", b"7", b'{"version": 1, "arrays": 5}'])
 def test_malformed_dataset_header_exits_2(workdir, tmp_path, capsys, header):
     import struct

@@ -229,12 +229,14 @@ MID = dict(width=32, heads=4, ffn_width=64, event_blocks=2, note_blocks=2,
            vitals_steps=120, vitals_channels=8, fusion_hidden=16)
 
 
-def held_bytes(tape):
-    """Bytes of memory the tape's values and node contexts keep alive, each
-    byte counted once however many views reach it."""
-    arrays = list(tape.values)
-    for node in tape.nodes:
-        arrays += [v for v in node.ctx.values() if isinstance(v, np.ndarray)]
+def held_bytes(*tapes):
+    """Bytes of memory the tapes' values and node contexts keep alive, each
+    byte counted once however many views or tapes reach it."""
+    arrays = []
+    for tape in tapes:
+        arrays += tape.values
+        for node in tape.nodes:
+            arrays += [v for v in node.ctx.values() if isinstance(v, np.ndarray)]
     spans = sorted(np.lib.array_utils.byte_bounds(a) for a in arrays if a.size)
     total, end = 0, 0
     for lo, hi in spans:
@@ -252,21 +254,25 @@ def geometry_batch(config, n, seed=0):
             rng.normal(size=(n, config.vitals_steps, config.vitals_channels)))
 
 
-def run_pass(model, kind, n):
-    """The tape of one attribution-mode pass of ``n`` rows: a recording
-    forward, or an integrated-gradients replay of one record's frozen maps."""
+def run_pass(model, kind, n, in_flight=1):
+    """The tapes of ``in_flight`` attribution-mode passes of ``n`` rows
+    each: recording forwards, or integrated-gradients replays of one
+    record's frozen maps, each on its own replay cursor."""
     if kind == "recording":
         ctx = Context(tape=Tape(), params=model.params, mode="attribution")
         model.forward(ctx, *geometry_batch(model.config, n))
-        return ctx.tape
+        return [ctx.tape]
     record = geometry_batch(model.config, 1)
     frozen = FrozenState()
     model.forward(Context(tape=Tape(record=False), params=model.params,
                           mode="attribution", frozen=frozen), *record)
-    ctx = Context(tape=Tape(), params=model.params, mode="attribution",
-                  frozen=frozen.start_replay(), input_scale=(np.arange(n) + 0.5) / n)
-    model.forward(ctx, *(np.repeat(a, n, axis=0) for a in record))
-    return ctx.tape
+    tapes = []
+    for _ in range(in_flight):
+        ctx = Context(tape=Tape(), params=model.params, mode="attribution",
+                      frozen=frozen.replay(), input_scale=(np.arange(n) + 0.5) / n)
+        model.forward(ctx, *(np.repeat(a, n, axis=0) for a in record))
+        tapes.append(ctx.tape)
+    return tapes
 
 
 @pytest.mark.parametrize("bias_free", [False, True])
@@ -274,7 +280,7 @@ def run_pass(model, kind, n):
 @pytest.mark.parametrize("kind", ["recording", "replay"])
 def test_pass_bytes_match_what_the_tape_holds(geometry, kind, bias_free):
     model = TriModalNet(ModelConfig(**geometry, bias_free=bias_free))
-    one, two = (held_bytes(run_pass(model, kind, n)) for n in (1, 2))
+    one, two = (held_bytes(*run_pass(model, kind, n)) for n in (1, 2))
     fixed, per_row = model.pass_bytes(kind, *geometry_batch(model.config, 1))
     assert abs(per_row - (two - one)) <= 0.15 * (two - one)
     assert abs(fixed - (2 * one - two)) <= 0.15 * (2 * one - two)
@@ -302,8 +308,14 @@ def test_a_pass_at_pass_rows_holds_at_most_the_budget(monkeypatch, kind):
         monkeypatch.setattr(model_module, "PASS_BYTES", budget)
         rows = model.pass_rows(kind, *arrays)
         assert rows > 1
-        assert held_bytes(run_pass(model, kind, rows)) <= budget
-        assert held_bytes(run_pass(model, kind, rows + 1)) > budget
+        assert held_bytes(*run_pass(model, kind, rows)) <= budget
+        assert held_bytes(*run_pass(model, kind, rows + 1)) > budget
+        if kind == "replay":
+            # two replays in flight share the parameters, the frozen maps
+            # and the positional tables, and split the rows between them
+            rows = model.pass_rows(kind, *arrays, in_flight=2)
+            assert held_bytes(*run_pass(model, kind, rows, in_flight=2)) <= budget
+            assert held_bytes(*run_pass(model, kind, rows + 1, in_flight=2)) > budget
 
 
 # --- fusion and ablation ---------------------------------------------------------
