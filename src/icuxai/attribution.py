@@ -29,10 +29,12 @@ a few batched passes instead of one pass per record.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -263,12 +265,52 @@ def midpoint_alphas(steps: int) -> np.ndarray:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on, which caps the threads of one
-    integrated-gradients call."""
+    """CPUs this process may run on: its affinity mask, capped by a
+    cgroup v2 CPU quota when one is set."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    try:
+        with open("/sys/fs/cgroup/cpu.max") as fh:
+            quota, period = fh.read().split()
+        if quota != "max":
+            cpus = min(cpus, max(1, int(quota) // int(period)))
+    except (OSError, ValueError):
+        pass
+    return cpus
+
+
+@lru_cache(maxsize=1)
+def _openblas_num_threads():
+    """The loaded OpenBLAS's thread-count getter, or None when no OpenBLAS
+    that can be asked is loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = (), ctypes.c_int
+                return fn
+    return None
+
+
+def _ig_threads() -> int:
+    """Threads one integrated-gradients call may run its passes on: the
+    usable CPUs when BLAS runs each product on one thread, else one,
+    since a multi-threaded BLAS already spreads every product over them
+    (a BLAS whose thread count cannot be read counts as multi-threaded)."""
+    get = _openblas_num_threads()
+    return _usable_cpus() if get is not None and get() == 1 else 1
 
 
 def _ig_pass(model, frozen: FrozenState, arrays, alphas: np.ndarray,
@@ -285,16 +327,27 @@ def _ig_pass(model, frozen: FrozenState, arrays, alphas: np.ndarray,
 
 
 def _in_order(fn, items: list, workers: int) -> list:
-    """``[fn(x) for x in items]``, on ``workers`` threads when more than
-    one. The pool is joined before this returns, also when ``fn`` raises,
-    and the first exception in item order propagates unchanged."""
+    """``[fn(x) for x in items]``, on the calling thread and ``workers - 1``
+    pool threads: runner ``k`` takes every ``workers``-th item from item
+    ``k``, and the calling thread is runner 0, so it works instead of
+    waiting. The pool is joined before this returns, also when ``fn``
+    raises; the exception propagates unchanged."""
     if workers == 1:
         return [fn(x) for x in items]
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="icuxai-ig")
+    out = [None] * len(items)
+
+    def run(k):
+        out[k::workers] = [fn(x) for x in items[k::workers]]
+
+    pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="icuxai-ig")
     try:
-        return list(pool.map(fn, items))
+        others = [pool.submit(run, k) for k in range(1, workers)]
+        run(0)
+        for f in others:
+            f.result()
     finally:
         pool.shutdown(cancel_futures=True)
+    return out
 
 
 def integrated_gradients(model, records, target_class: int = 1, steps: int = 20):
@@ -322,18 +375,22 @@ def integrated_gradients(model, records, target_class: int = 1, steps: int = 20)
     gradient a pass at ``alpha_i`` alone would get, up to the last ulps
     BLAS rounds differently at another row count.
 
-    The passes run on ``W`` threads, one tape and one replay cursor
-    each: ``W`` is the smaller of the CPUs this process may use and the
-    passes the grid needs at the full byte budget, so a grid that fits
-    one pass runs on the calling thread alone. The ``W`` passes in
-    flight share one budget (``in_flight`` of
+    The passes run on ``W`` threads, the calling thread and ``W - 1``
+    pool threads, one tape and one replay cursor per pass. ``W`` is the
+    smallest of the threads BLAS leaves free (the CPUs this process may
+    use when BLAS runs one thread, else one), the rows that fit the full
+    byte budget and the passes the grid needs at that budget; so a grid
+    that fits one pass, or a multi-threaded BLAS, runs on the calling
+    thread alone. The ``W`` passes in flight
+    share one budget (``in_flight`` of
     :meth:`~icuxai.model.TriModalNet.pass_rows` for a ``replay`` pass):
     the parameters, positional tables, frozen maps and LayerNorm
-    denominators they all read are counted once, and each pass takes its share of the rows. The
-    per-row gradients are summed in alpha order once every pass has
-    returned, so the thread schedule changes no bit, and the pool is
-    joined before the call returns. A cohort runs one record at a time,
-    since the alpha grid already fills the passes.
+    denominators they all read are counted once, and each pass takes
+    its share of the rows. The per-row gradients are summed in alpha
+    order once every pass has returned, so the thread schedule changes
+    no bit, and the pool is joined before the call returns. A cohort
+    runs one record at a time, since the alpha grid already fills the
+    passes.
     """
     target_class = _check_target_class(target_class)
     alphas = midpoint_alphas(steps)
@@ -346,8 +403,11 @@ def integrated_gradients(model, records, target_class: int = 1, steps: int = 20)
         end = Context(tape=Tape(record=False), params=model.params,
                       mode="attribution", frozen=frozen)
         logits = model.forward(end, *arrays)
-        passes = -(-alphas.size // model.pass_rows("replay", *arrays))
-        workers = min(_usable_cpus(), passes)
+        rows = model.pass_rows("replay", *arrays)
+        passes = -(-alphas.size // rows)
+        # no more passes in flight than rows fit the budget, so each of
+        # them still gets at least one row of its share
+        workers = 1 if passes == 1 else min(_ig_threads(), rows, passes)
         per_pass = model.pass_rows("replay", *arrays, in_flight=workers)
         grads = _in_order(
             lambda a: _ig_pass(model, frozen, arrays, a, target_class),

@@ -411,6 +411,11 @@ EVAL_OPTIONS = {
 }
 
 
+def _trained_active(meta) -> tuple[str, ...]:
+    """The modalities a checkpoint's model was trained on."""
+    return tuple(meta.get("extra", {}).get("active", MODALITIES))
+
+
 def cmd_eval(args, opts, out, log):
     model, meta = _load_model(args.checkpoint)
     ds = _load_dataset(args.data)
@@ -418,7 +423,7 @@ def cmd_eval(args, opts, out, log):
     if wanted not in ("train", "val", "test", "all"):
         raise UsageError(f"--split must be train, val, test or all, "
                          f"got {wanted!r}")
-    active = tuple(meta.get("extra", {}).get("active", MODALITIES))
+    active = _trained_active(meta)
     stored = meta.get("extra", {}).get("split")
     if wanted == "all":
         parts = [("all", np.arange(len(ds)))]
@@ -472,7 +477,7 @@ def _require_every_modality(meta, command: str) -> None:
     """The explainers and the deletion curves' rescoring run every
     encoder, so a model trained on fewer modalities would be explained
     on inputs it never saw: refuse it."""
-    active = tuple(meta.get("extra", {}).get("active", MODALITIES))
+    active = _trained_active(meta)
     if set(active) != set(MODALITIES):
         raise DataError(f"{command} needs a model trained on all of "
                         f"{', '.join(MODALITIES)}; this checkpoint was trained "

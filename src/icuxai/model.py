@@ -301,7 +301,9 @@ class TriModalNet:
         """Rows of ``arrays`` a pass of ``kind`` takes: at least one, else
         as many as :meth:`pass_bytes` fits into ``PASS_BYTES``. With
         ``in_flight`` passes alive at once, they split the budget's rows
-        and hold ``fixed`` once, since they share those arrays."""
+        and hold ``fixed`` once, since they share those arrays. They stay
+        within the budget together only while ``in_flight`` is at most
+        the rows one pass takes alone; beyond that each still gets one."""
         fixed, per_row = self.pass_bytes(kind, *arrays)
         return max(1, (PASS_BYTES - fixed) // (in_flight * per_row))
 

@@ -9,6 +9,7 @@ midpoint-rule completeness on a quadratic, and exactness properties
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -339,7 +340,7 @@ def _budget_for_rows(monkeypatch, net, kind, rows):
 
 def _pin_cpus(monkeypatch, cpus):
     """Let integrated gradients run its passes on at most ``cpus`` threads."""
-    monkeypatch.setattr(attribution, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(attribution, "_ig_threads", lambda: cpus)
 
 
 def _ig_rows_per_forward(model, monkeypatch, rec, steps):
@@ -412,31 +413,72 @@ def test_one_row_ig_passes_equal_one_alpha_per_tape_bit_for_bit(model, monkeypat
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("fail", [False, True])
-def test_ig_worker_threads_are_joined_and_pass_errors_surface(model, monkeypatch, fail):
+@pytest.mark.parametrize("fail_at", [None, 4, 5], ids=["none", "caller", "worker"])
+def test_ig_worker_threads_are_joined_and_pass_errors_surface(model, monkeypatch, fail_at):
     rec = make_record(26)
     _pin_cpus(monkeypatch, 2)
-    _budget_for_rows(monkeypatch, model, "replay", 2)
+    _budget_for_rows(monkeypatch, model, "replay", 2)  # 20 one-row passes
     real_pass = attribution._ig_pass
-    threads = set()
+    threads = {}
     error = NonFiniteError("non-finite gradient at the notes input")
 
     def ig_pass(model, frozen, arrays, alphas, target_class):
-        threads.add(threading.current_thread().name)
-        if fail and alphas[0] == midpoint_alphas(20)[5]:
+        i = int(np.flatnonzero(midpoint_alphas(20) == alphas[0])[0])
+        threads[i] = threading.current_thread()
+        if i == fail_at:
             raise error
         return real_pass(model, frozen, arrays, alphas, target_class)
 
     monkeypatch.setattr(attribution, "_ig_pass", ig_pass)
     before = threading.active_count()
-    if fail:
+    if fail_at is not None:
         with pytest.raises(NonFiniteError) as caught:
             integrated_gradients(model, rec, steps=20)
         assert caught.value is error
     else:
         integrated_gradients(model, rec, steps=20)
     assert threading.active_count() == before
-    assert threading.current_thread().name not in threads
+    # the calling thread runs the even passes, one pool thread the odd ones
+    caller = threading.current_thread()
+    assert {threads[i] is caller for i in threads} == {True, False}
+    assert all((threads[i] is caller) == (i % 2 == 0) for i in threads)
+
+
+@pytest.mark.parametrize("cpus,budget_rows,in_flight", [
+    (4, 3, 3),  # four CPUs, three rows fit: three one-row passes at once
+    (2, 1, 1),  # two CPUs, one row fits: one pass at a time
+])
+def test_ig_runs_no_more_rows_at_once_than_fit_the_budget(
+        model, monkeypatch, cpus, budget_rows, in_flight):
+    rec = make_record(27)
+    _pin_cpus(monkeypatch, cpus)
+    _budget_for_rows(monkeypatch, model, "replay", budget_rows)
+    real_pass = attribution._ig_pass
+    lock = threading.Lock()
+    rows = {"now": 0, "most": 0}
+
+    def ig_pass(model, frozen, arrays, alphas, target_class):
+        with lock:
+            rows["now"] += alphas.size
+            rows["most"] = max(rows["most"], rows["now"])
+        time.sleep(0.01)  # keep the pass in flight while others start
+        try:
+            return real_pass(model, frozen, arrays, alphas, target_class)
+        finally:
+            with lock:
+                rows["now"] -= alphas.size
+
+    monkeypatch.setattr(attribution, "_ig_pass", ig_pass)
+    integrated_gradients(model, rec, steps=20)
+    assert rows["most"] == in_flight <= budget_rows
+
+
+@pytest.mark.parametrize("blas_threads,expected", [(1, 3), (2, 1), (None, 1)])
+def test_ig_threads_only_when_blas_runs_one_thread(monkeypatch, blas_threads, expected):
+    monkeypatch.setattr(attribution, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(attribution, "_openblas_num_threads",
+                        lambda: None if blas_threads is None else (lambda: blas_threads))
+    assert attribution._ig_threads() == expected
 
 
 # --- attention readouts --------------------------------------------------------------

@@ -340,7 +340,7 @@ def _ig_pass_tapes(monkeypatch, cpus: int, budget_rows: int) -> list:
     fixed, per_row = model.pass_bytes("replay", rec.events.values[None],
                                       rec.notes.ids[None], rec.vitals.values[None])
     monkeypatch.setattr("icuxai.model.PASS_BYTES", fixed + budget_rows * per_row)
-    monkeypatch.setattr("icuxai.attribution._usable_cpus", lambda: cpus)
+    monkeypatch.setattr("icuxai.attribution._ig_threads", lambda: cpus)
     seen = _watch_recording_tapes(monkeypatch, others=cpus - 1)
     integrated_gradients(model, [ds.record(0), ds.record(1)], steps=7)
     return seen
