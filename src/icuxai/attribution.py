@@ -408,11 +408,11 @@ def integrated_gradients(model, records, target_class: int = 1, steps: int = 20)
         # no more passes in flight than rows fit the budget, so each of
         # them still gets at least one row of its share
         workers = 1 if passes == 1 else min(_ig_threads(), rows, passes)
-        per_pass = model.pass_rows("replay", *arrays, in_flight=workers)
+        if workers > 1:
+            rows = model.pass_rows("replay", *arrays, in_flight=workers)
         grads = _in_order(
             lambda a: _ig_pass(model, frozen, arrays, a, target_class),
-            [alphas[i:i + per_pass] for i in range(0, alphas.size, per_pass)],
-            workers)
+            [alphas[i:i + rows] for i in range(0, alphas.size, rows)], workers)
         acc: dict[str, np.ndarray] = {}
         for pass_grads in grads:
             for m in MODALITIES:

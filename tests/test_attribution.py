@@ -481,6 +481,26 @@ def test_ig_threads_only_when_blas_runs_one_thread(monkeypatch, blas_threads, ex
     assert attribution._ig_threads() == expected
 
 
+@pytest.mark.parametrize("cpu_max,expected", [
+    ("max 100000\n", 4), ("250000 100000\n", 2), ("50000 100000\n", 1), (None, 4)])
+def test_usable_cpus_follow_the_affinity_mask_and_a_cgroup_quota(
+        monkeypatch, tmp_path, cpu_max, expected):
+    real_open = open
+    quota = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        quota.write_text(cpu_max)
+
+    def fake_open(path, *args, **kwargs):
+        if path == "/sys/fs/cgroup/cpu.max":
+            path = quota  # missing when cpu_max is None: no cgroup v2 quota
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(attribution.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr(attribution, "open", fake_open, raising=False)
+    assert attribution._usable_cpus() == expected
+
+
 # --- attention readouts --------------------------------------------------------------
 
 def test_attention_last_matches_captured_map(model):
