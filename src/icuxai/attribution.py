@@ -346,7 +346,7 @@ def _in_order(fn, items: list, workers: int) -> list:
         for f in others:
             f.result()
     finally:
-        pool.shutdown(cancel_futures=True)
+        pool.shutdown()
     return out
 
 
@@ -381,9 +381,9 @@ def integrated_gradients(model, records, target_class: int = 1, steps: int = 20)
     use when BLAS runs one thread, else one), the rows that fit the full
     byte budget and the passes the grid needs at that budget; so a grid
     that fits one pass, or a multi-threaded BLAS, runs on the calling
-    thread alone. The ``W`` passes in flight
-    share one budget (``in_flight`` of
-    :meth:`~icuxai.model.TriModalNet.pass_rows` for a ``replay`` pass):
+    thread alone. The ``W`` passes in flight share one budget
+    (``in_flight`` of :meth:`~icuxai.model.TriModalNet.pass_rows` for a
+    ``replay`` pass):
     the parameters, positional tables, frozen maps and LayerNorm
     denominators they all read are counted once, and each pass takes
     its share of the rows. The per-row gradients are summed in alpha
