@@ -29,12 +29,8 @@ a few batched passes instead of one pass per record.
 
 from __future__ import annotations
 
-import ctypes
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -256,61 +252,13 @@ def midpoint_alphas(steps: int) -> np.ndarray:
 
     Their mean is exactly one half for every step count, which is what
     makes the Riemann sum complete (sum of attributions equal to the
-    output change) on functions with constant curvature.
+    output change) on functions with constant curvature. A step count
+    that is not an integer of at least one raises ``ValueError``.
     """
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     steps = int(steps)
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     return (np.arange(1, steps + 1) - 0.5) / steps
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, capped by a
-    cgroup v2 CPU quota when one is set."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    try:
-        with open("/sys/fs/cgroup/cpu.max") as fh:
-            quota, period = fh.read().split()
-        if quota != "max":
-            cpus = min(cpus, max(1, int(quota) // int(period)))
-    except (OSError, ValueError):
-        pass
-    return cpus
-
-
-@lru_cache(maxsize=1)
-def _openblas_num_threads():
-    """The loaded OpenBLAS's thread-count getter, or None when no OpenBLAS
-    that can be asked is loaded."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = (), ctypes.c_int
-                return fn
-    return None
-
-
-def _ig_threads() -> int:
-    """Threads one integrated-gradients call may run its passes on: the
-    usable CPUs when BLAS runs each product on one thread, else one,
-    since a multi-threaded BLAS already spreads every product over them
-    (a BLAS whose thread count cannot be read counts as multi-threaded)."""
-    get = _openblas_num_threads()
-    return _usable_cpus() if get is not None and get() == 1 else 1
 
 
 def _ig_pass(model, frozen: FrozenState, arrays, alphas: np.ndarray,
@@ -324,30 +272,6 @@ def _ig_pass(model, frozen: FrozenState, arrays, alphas: np.ndarray,
     ad.backward(ad.slice_(out, (slice(None), target_class)),
                 seed=np.ones(alphas.size), wrt=ctx.probes.values())
     return {m: _probe_grad(ctx, m) for m in MODALITIES}
-
-
-def _in_order(fn, items: list, workers: int) -> list:
-    """``[fn(x) for x in items]``, on the calling thread and ``workers - 1``
-    pool threads: runner ``k`` takes every ``workers``-th item from item
-    ``k``, and the calling thread is runner 0, so it works instead of
-    waiting. The pool is joined before this returns, also when ``fn``
-    raises; the exception propagates unchanged."""
-    if workers == 1:
-        return [fn(x) for x in items]
-    out = [None] * len(items)
-
-    def run(k):
-        out[k::workers] = [fn(x) for x in items[k::workers]]
-
-    pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="icuxai-ig")
-    try:
-        others = [pool.submit(run, k) for k in range(1, workers)]
-        run(0)
-        for f in others:
-            f.result()
-    finally:
-        pool.shutdown()
-    return out
 
 
 def integrated_gradients(model, records, target_class: int = 1, steps: int = 20):
@@ -377,11 +301,12 @@ def integrated_gradients(model, records, target_class: int = 1, steps: int = 20)
 
     The passes run on ``W`` threads, the calling thread and ``W - 1``
     pool threads, one tape and one replay cursor per pass. ``W`` is the
-    smallest of the threads BLAS leaves free (the CPUs this process may
-    use when BLAS runs one thread, else one), the rows that fit the full
-    byte budget and the passes the grid needs at that budget; so a grid
-    that fits one pass, or a multi-threaded BLAS, runs on the calling
-    thread alone. The ``W`` passes in flight share one budget
+    smallest of the threads BLAS leaves free (``autodiff._threads``: the
+    CPUs this process may use when BLAS runs one thread, else one), the
+    rows that fit the full byte budget and the passes the grid needs at
+    that budget; so a grid that fits one pass, or a multi-threaded BLAS,
+    runs on the calling thread alone. A map-sized kernel called on one
+    of the ``W`` threads does not split again. The ``W`` passes in flight share one budget
     (``in_flight`` of :meth:`~icuxai.model.TriModalNet.pass_rows` for a
     ``replay`` pass):
     the parameters, positional tables, frozen maps and LayerNorm
@@ -407,10 +332,10 @@ def integrated_gradients(model, records, target_class: int = 1, steps: int = 20)
         passes = -(-alphas.size // rows)
         # no more passes in flight than rows fit the budget, so each of
         # them still gets at least one row of its share
-        workers = 1 if passes == 1 else min(_ig_threads(), rows, passes)
+        workers = 1 if passes == 1 else min(ad._threads(), rows, passes)
         if workers > 1:
             rows = model.pass_rows("replay", *arrays, in_flight=workers)
-        grads = _in_order(
+        grads = ad._in_order(
             lambda a: _ig_pass(model, frozen, arrays, a, target_class),
             [alphas[i:i + rows] for i in range(0, alphas.size, rows)], workers)
         acc: dict[str, np.ndarray] = {}
@@ -660,7 +585,7 @@ class Explainer:
         self.kind = kind
         self.model = model
         self.seed = int(seed)
-        self.steps = int(steps)
+        self.steps = steps
 
     def explain(self, record: MultimodalRecord,
                 target_class: int = 1) -> AttributionReport:

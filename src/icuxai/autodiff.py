@@ -24,6 +24,17 @@ Integrated gradients runs several passes at once on a thread pool, but
 each pass still records on its own tape, from one thread; the passes
 share only arrays they read.
 
+The map-sized kernels (``attention_map``, ``dropout_matmul`` and their
+VJPs) split their arithmetic over ``W`` threads when a map is large: the
+calling thread and ``W - 1`` pool threads each take a piece of the
+leading (batch, head) axes and write their slice of one preallocated
+output, and the pool is joined before the kernel returns. Every row is
+computed as on one thread, so the bits do not change, and the tape is
+still recorded by the calling thread alone. ``W`` is one under a
+multi-threaded BLAS, for maps below ``W`` times :data:`_SPLIT_BYTES`,
+and on a runner of an enclosing :func:`_in_order` such as an integrated
+gradients pass; see :func:`_threads`.
+
 Training steps and explainer passes each free their whole tape before
 the next one records, so on glibc the importing process keeps
 ``HEAP_TOP_PAD`` bytes of free heap instead of handing it back to the
@@ -35,6 +46,9 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -120,7 +134,12 @@ __all__ = [
 
 
 class NonFiniteError(FloatingPointError):
-    """A primitive produced NaN or Inf in its forward output."""
+    """A primitive produced NaN or Inf in its forward output. ``kind``
+    names the primitive whose finite check failed, when one did."""
+
+    def __init__(self, message: str = "", kind: str | None = None):
+        super().__init__(message)
+        self.kind = kind
 
 
 class TapeError(RuntimeError):
@@ -303,8 +322,150 @@ def _tape_of(*xs) -> Tape:
 
 def _check_finite(kind: str, arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
-        raise NonFiniteError(f"primitive {kind!r} produced a non-finite value")
+        raise NonFiniteError(f"primitive {kind!r} produced a non-finite value", kind)
     return arr
+
+
+# --- threads ------------------------------------------------------------
+#
+# One rule sets how many threads a call may run its arithmetic on, and one
+# runner runs the work: integrated gradients' replay passes and the pieces
+# of a map-sized kernel both go through ``_in_order``. A runner never
+# starts threads of its own, so a process runs at most ``_cpu_threads()``
+# threads of arithmetic.
+
+#: bytes of a map each thread takes at least, so a map splits over ``W``
+#: threads only from ``W`` times this size. numpy asks for huge pages from
+#: 4 MiB, and a smaller piece's temporaries fault in page by page.
+_SPLIT_BYTES = 4 << 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, capped by a
+    cgroup v2 CPU quota when one is set."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    try:
+        with open("/sys/fs/cgroup/cpu.max") as fh:
+            quota, period = fh.read().split()
+        if quota != "max":
+            cpus = min(cpus, max(1, int(quota) // int(period)))
+    except (OSError, ValueError):
+        pass
+    return cpus
+
+
+@lru_cache(maxsize=1)
+def _openblas_num_threads():
+    """The loaded OpenBLAS's thread-count getter, or None when no OpenBLAS
+    that can be asked is loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = (), ctypes.c_int
+                return fn
+    return None
+
+
+def _cpu_threads() -> int:
+    """Threads a process may run its arithmetic on: the usable CPUs when
+    BLAS runs each product on one thread, else one, since a multi-threaded
+    BLAS already spreads every product over them (a BLAS whose thread
+    count cannot be read counts as multi-threaded)."""
+    get = _openblas_num_threads()
+    return _usable_cpus() if get is not None and get() == 1 else 1
+
+
+_runner = threading.local()
+
+
+def _threads() -> int:
+    """Threads one call may use: :func:`_cpu_threads`, or one on a runner
+    of an enclosing :func:`_in_order`, whose threads already fill them."""
+    return 1 if getattr(_runner, "busy", False) else _cpu_threads()
+
+
+def _in_order(fn, items: list, workers: int) -> list:
+    """``[fn(x) for x in items]``, on the calling thread and ``workers - 1``
+    pool threads: runner ``k`` takes every ``workers``-th item from item
+    ``k``, and the calling thread is runner 0, so it works instead of
+    waiting. While a runner works, :func:`_threads` reads one on it. The
+    pool is joined before this returns, also when ``fn`` raises; the
+    exception propagates unchanged, the calling thread's first."""
+    if workers == 1:
+        return [fn(x) for x in items]
+    out = [None] * len(items)
+
+    def run(k):
+        busy = getattr(_runner, "busy", False)
+        _runner.busy = True
+        try:
+            out[k::workers] = [fn(x) for x in items[k::workers]]
+        finally:
+            _runner.busy = busy
+
+    pool = ThreadPoolExecutor(workers - 1, thread_name_prefix="icuxai")
+    try:
+        others = [pool.submit(run, k) for k in range(1, workers)]
+        run(0)
+        for f in others:
+            f.result()
+    finally:
+        pool.shutdown()
+    return out
+
+
+def _split(fn, lead: tuple[int, ...], nbytes: int) -> list:
+    """``fn(key)`` for each piece of a map of ``nbytes`` bytes, run by
+    :func:`_in_order`. A key indexes the map's leading axes ``lead``: one
+    of them is cut into ``W`` nearly equal slices, the first whose length
+    ``W`` divides, else the first at least ``W`` long. ``W`` is
+    :func:`_threads`, but at most ``nbytes // _SPLIT_BYTES``; at one, or
+    with no axis to cut, ``fn(...)`` runs once on the calling thread."""
+    workers = nbytes // _SPLIT_BYTES
+    if workers > 1:
+        workers = min(workers, _threads())
+    fits = [i for i, n in enumerate(lead) if n >= workers] if workers > 1 else []
+    if not fits:
+        return [fn(...)]
+    axis = next((i for i in fits if lead[i] % workers == 0), fits[0])
+    bounds = [lead[axis] * i // workers for i in range(workers + 1)]
+    keys = [(slice(None),) * axis + (slice(a, b),) + (slice(None),) * (len(lead) - axis - 1)
+            for a, b in zip(bounds, bounds[1:])]
+    return _in_order(fn, keys, workers)
+
+
+def _split_lead(lead: tuple[int, ...], full: np.ndarray, other: np.ndarray) -> tuple:
+    """``lead`` when a kernel may split it: ``full`` has those leading
+    axes and ``other`` has them too or none, so every piece's rows and
+    products are the serial ones. Else ``()``, which never splits."""
+    if full.shape[:-2] == lead and other.shape[:-2] in (lead, ()):
+        return lead
+    return ()
+
+
+def _part(arr, key):
+    """``arr``'s share of piece ``key`` of the leading axes: an axis of
+    length one broadcasts and is taken whole, and so is an array with no
+    leading axes (``arr``'s last two axes are a map's or a product's)."""
+    if arr is None or key is Ellipsis:
+        return arr
+    lead = max(arr.ndim - 2, 0)
+    key = key[len(key) - lead:] if lead else ()
+    return arr[tuple(slice(None) if n == 1 else s for n, s in zip(arr.shape, key))]
 
 
 def _binary(kind: str, a, b, op: Callable) -> Tensor:
@@ -524,11 +685,33 @@ def attention_map(q, k, factor: float = 1.0, mask=None) -> Tensor:
         raise ValueError(
             f"attention-map query and key widths differ: {q.data.shape} vs {k.data.shape}")
     factor = _finite_factor(factor)
-    with np.errstate(all="ignore"):
-        z = q.data @ np.swapaxes(k.data, -1, -2)
-    _check_finite("matmul", z)
-    _softmax_in_place(z, -1, factor, mask)
+    mask = None if mask is None else np.asarray(mask)
+    vq, kt = q.data, np.swapaxes(k.data, -1, -2)
+    lead = np.broadcast_shapes(vq.shape[:-2], kt.shape[:-2])
+    z = np.empty(lead + (vq.shape[-2], kt.shape[-1]))
+
+    def piece(key):
+        # a piece's first failed check, so the caller can raise the kind
+        # the whole map fails first
+        zk = z[key]
+        try:
+            with np.errstate(all="ignore"):
+                np.matmul(_part(vq, key), _part(kt, key), out=zk)
+            _check_finite("matmul", zk)
+            _softmax_in_place(zk, -1, factor, _part(mask, key))
+        except NonFiniteError as err:
+            return err
+        return None
+
+    failed = [err for err in _split(piece, _split_lead(lead, vq, kt), z.nbytes)
+              if err is not None]
+    if failed:
+        raise min(failed, key=lambda err: _MAP_CHECKS.index(err.kind))
     return tape._record("attention-map", (q.node_id, k.node_id), {"factor": factor}, z)
+
+
+#: the finite checks of an attention map, in the order they run
+_MAP_CHECKS = ("matmul", "scale", "add", "softmax-over-axis")
 
 
 def dropout_matmul(x, w, keep: np.ndarray, factor: float) -> Tensor:
@@ -557,9 +740,18 @@ def dropout_matmul(x, w, keep: np.ndarray, factor: float) -> Tensor:
         raise ValueError(
             f"matmul inner dimensions do not agree: {x.data.shape} @ {w.data.shape}")
     factor = _finite_factor(factor)
-    with np.errstate(all="ignore"):
-        value = _dropped(x.data, keep, factor) @ w.data
-    _check_finite("matmul", value)
+    vx, vw = x.data, w.data
+    lead = np.broadcast_shapes(vx.shape[:-2], vw.shape[:-2])
+    value = np.empty(lead + (vx.shape[-2], vw.shape[-1]))
+
+    def piece(key):
+        out = value[key]
+        with np.errstate(all="ignore"):
+            np.matmul(_dropped(_part(vx, key), _part(keep, key), factor), _part(vw, key),
+                      out=out)
+        _check_finite("matmul", out)
+
+    _split(piece, _split_lead(lead, vx, vw), vx.nbytes)
     return tape._record("dropout-matmul", (x.node_id, w.node_id),
                         {"keep": keep, "factor": factor}, value)
 
@@ -738,21 +930,35 @@ def _vjp_softmax(tape, nid, node, g, live):
 
 
 def _vjp_attention_map(tape, nid, node, g, live):
-    # the softmax rule gives the scores' gradient; the matmul and transpose
-    # rules then run on the views the unfused nodes would hold
+    # the softmax rule gives the scores' gradient gs, built in one buffer;
+    # the matmul and transpose rules then run on the views the unfused
+    # nodes would hold. g is never written: _vjp_add hands one array to
+    # both of its operands
     qid, kid = node.inputs
-    p = tape.values[nid]
-    inner = np.sum(g * p, axis=-1, keepdims=True)
-    gs = p * (g - inner)
-    gs *= node.ctx["factor"]
-    vq = tape.values[qid]
-    kt = np.swapaxes(tape.values[kid], -1, -2)
+    p, factor = tape.values[nid], node.ctx["factor"]
+    vq, kt = tape.values[qid], np.swapaxes(tape.values[kid], -1, -2)
+    lead = p.shape[:-2]
+    gq = np.empty(lead + vq.shape[-2:]) if _on_path(live, qid) else None
+    gkt = np.empty(lead + kt.shape[-2:]) if _on_path(live, kid) else None
+
+    def piece(key):
+        gk, pk = _part(g, key), p[key]
+        gs = np.multiply(gk, pk)
+        inner = np.sum(gs, axis=-1, keepdims=True)
+        np.subtract(gk, inner, out=gs)
+        gs *= pk
+        gs *= factor
+        if gq is not None:
+            np.matmul(gs, np.swapaxes(_part(kt, key), -1, -2), out=gq[key])
+        if gkt is not None:
+            np.matmul(np.swapaxes(_part(vq, key), -1, -2), gs, out=gkt[key])
+
+    _split(piece, _split_lead(lead, vq, kt), p.nbytes)
     out = []
-    if _on_path(live, qid):
-        out.append((qid, _reduce_to(gs @ np.swapaxes(kt, -1, -2), vq.shape)))
-    if _on_path(live, kid):
-        gkt = _reduce_to(np.swapaxes(vq, -1, -2) @ gs, kt.shape)
-        out.append((kid, np.swapaxes(gkt, -1, -2)))
+    if gq is not None:
+        out.append((qid, _reduce_to(gq, vq.shape)))
+    if gkt is not None:
+        out.append((kid, np.swapaxes(_reduce_to(gkt, kt.shape), -1, -2)))
     return out
 
 
@@ -760,13 +966,31 @@ def _vjp_dropout_matmul(tape, nid, node, g, live):
     a, b = node.inputs
     keep, factor = node.ctx["keep"], node.ctx["factor"]
     va, vb = tape.values[a], tape.values[b]
+    lead = g.shape[:-2]
+    # x's gradient is the product itself when x has all its leading axes;
+    # the product is then this node's own, and the dropout applies in place
+    whole = va.shape[:-2] == lead
+    ga = np.empty(lead + va.shape[-2:]) if _on_path(live, a) else None
+    gb = np.empty(lead + vb.shape[-2:]) if _on_path(live, b) else None
+
+    def piece(key):
+        gk, kk = _part(g, key), _part(keep, key)
+        if ga is not None:
+            gak = ga[key]
+            np.matmul(gk, np.swapaxes(_part(vb, key), -1, -2), out=gak)
+            if whole:
+                gak *= kk
+                gak *= factor
+        if gb is not None:
+            dropped = _dropped(_part(va, key), kk, factor)
+            np.matmul(np.swapaxes(dropped, -1, -2), gk, out=gb[key])
+
+    _split(piece, _split_lead(lead, va, vb), va.nbytes)
     out = []
-    if _on_path(live, a):
-        ga = _reduce_to(g @ np.swapaxes(vb, -1, -2), va.shape)
-        out.append((a, _dropped(ga, keep, factor)))
-    if _on_path(live, b):
-        dropped = _dropped(va, keep, factor)
-        out.append((b, _reduce_to(np.swapaxes(dropped, -1, -2) @ g, vb.shape)))
+    if ga is not None:
+        out.append((a, ga if whole else _dropped(_reduce_to(ga, va.shape), keep, factor)))
+    if gb is not None:
+        out.append((b, _reduce_to(gb, vb.shape)))
     return out
 
 

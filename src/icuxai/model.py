@@ -309,7 +309,8 @@ class TriModalNet:
 
     def predict_proba(self, events, notes, vitals, batch_size: int = 256,
                       active: tuple[str, ...] = MODALITIES) -> np.ndarray:
-        """Class probabilities (n, 2), computed in inference batches.
+        """Class probabilities (n, 2), computed in inference batches; an
+        empty (0, 2) array for zero rows.
 
         Each batch runs on a non-recording tape, so a forward holds only
         the values still in use. ``batch_size`` (positive) is an upper
@@ -330,7 +331,7 @@ class TriModalNet:
             logits = self.forward(ctx, events[start:stop], notes[start:stop],
                                   vitals[start:stop], active)
             out.append(softmax_probabilities(logits.data))
-        return np.concatenate(out, axis=0)
+        return np.concatenate(out, axis=0) if out else np.empty((0, 2))
 
 
 # --- persistence -------------------------------------------------------------

@@ -234,6 +234,22 @@ def test_midpoint_alphas_values_and_mean():
         midpoint_alphas(0)
 
 
+@pytest.mark.parametrize("steps", [2.7, 2.0, True, "3", 0, -1])
+def test_ig_refuses_a_step_count_that_is_not_an_integer_of_at_least_one(model, steps):
+    with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+        midpoint_alphas(steps)
+    with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+        explain("integrated-gradients", model, make_record(3), steps=steps)
+
+
+def test_ig_takes_a_numpy_integer_step_count(model):
+    rec = make_record(3)
+    np.testing.assert_array_equal(midpoint_alphas(np.int64(3)), midpoint_alphas(3))
+    a = explain("integrated-gradients", model, rec, steps=np.int64(3))
+    b = explain("integrated-gradients", model, rec, steps=3)
+    np.testing.assert_array_equal(a.vitals, b.vitals)
+
+
 def test_midpoint_rule_is_complete_on_quadratic():
     # f(x) = x^2 at x=3: gradients 2*alpha*x average to x, so the
     # attribution x * mean(grad) recovers f exactly with any step count
@@ -338,11 +354,6 @@ def _budget_for_rows(monkeypatch, net, kind, rows):
     monkeypatch.setattr(model_module, "PASS_BYTES", fixed + rows * per_row)
 
 
-def _pin_cpus(monkeypatch, cpus):
-    """Let integrated gradients run its passes on at most ``cpus`` threads."""
-    monkeypatch.setattr(attribution, "_ig_threads", lambda: cpus)
-
-
 def _ig_rows_per_forward(model, monkeypatch, rec, steps):
     """IG's report and the rows of every forward it ran (endpoint first)."""
     rows_per_pass = []
@@ -358,9 +369,10 @@ def _ig_rows_per_forward(model, monkeypatch, rec, steps):
     return rep, rows_per_pass
 
 
-def test_batched_ig_uneven_chunks_match_one_alpha_per_tape(model, monkeypatch):
+def test_batched_ig_uneven_chunks_match_one_alpha_per_tape(model, monkeypatch,
+                                                           pin_threads):
     rec = make_record(23)
-    _pin_cpus(monkeypatch, 1)
+    pin_threads(1)
     _budget_for_rows(monkeypatch, model, "replay", 3)
     rep, rows_per_pass = _ig_rows_per_forward(model, monkeypatch, rec, 7)
     assert rows_per_pass == [1, 3, 3, 1]  # endpoint, then alphas in chunks of 3
@@ -370,9 +382,9 @@ def test_batched_ig_uneven_chunks_match_one_alpha_per_tape(model, monkeypatch):
 
 
 def test_batched_ig_uneven_chunks_on_two_threads_match_one_alpha_per_tape(
-        model, monkeypatch):
+        model, monkeypatch, pin_threads):
     rec = make_record(23)
-    _pin_cpus(monkeypatch, 2)
+    pin_threads(2)
     _budget_for_rows(monkeypatch, model, "replay", 6)  # two passes of 3 in flight
     rep, rows_per_pass = _ig_rows_per_forward(model, monkeypatch, rec, 7)
     assert rows_per_pass[0] == 1 and sorted(rows_per_pass[1:]) == [1, 3, 3]
@@ -383,11 +395,11 @@ def test_batched_ig_uneven_chunks_on_two_threads_match_one_alpha_per_tape(
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_ig_on_two_threads_gives_the_bits_of_one_thread_at_equal_rows(
-        model, monkeypatch, rows):
+        model, monkeypatch, rows, pin_threads):
     rec = make_record(24)
     reports = []
     for cpus in (1, 2):
-        _pin_cpus(monkeypatch, cpus)
+        pin_threads(cpus)
         _budget_for_rows(monkeypatch, model, "replay", cpus * rows)
         reports.append(integrated_gradients(model, rec, steps=20))
     one, two = reports
@@ -396,11 +408,12 @@ def test_ig_on_two_threads_gives_the_bits_of_one_thread_at_equal_rows(
         np.testing.assert_array_equal(a, b)
 
 
-def test_one_row_ig_passes_equal_one_alpha_per_tape_bit_for_bit(model, monkeypatch):
+def test_one_row_ig_passes_equal_one_alpha_per_tape_bit_for_bit(model, monkeypatch,
+                                                                pin_threads):
     rec = make_record(25)
     # more threads than this host has cores, switching often: a replay
     # cursor shared between passes would hand a pass another's maps
-    _pin_cpus(monkeypatch, 4)
+    pin_threads(4)
     _budget_for_rows(monkeypatch, model, "replay", 4)  # four passes of one row
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -414,9 +427,10 @@ def test_one_row_ig_passes_equal_one_alpha_per_tape_bit_for_bit(model, monkeypat
 
 
 @pytest.mark.parametrize("fail_at", [None, 4, 5], ids=["none", "caller", "worker"])
-def test_ig_worker_threads_are_joined_and_pass_errors_surface(model, monkeypatch, fail_at):
+def test_ig_worker_threads_are_joined_and_pass_errors_surface(model, monkeypatch, fail_at,
+                                                             pin_threads):
     rec = make_record(26)
-    _pin_cpus(monkeypatch, 2)
+    pin_threads(2)
     _budget_for_rows(monkeypatch, model, "replay", 2)  # 20 one-row passes
     real_pass = attribution._ig_pass
     threads = {}
@@ -449,9 +463,9 @@ def test_ig_worker_threads_are_joined_and_pass_errors_surface(model, monkeypatch
     (2, 1, 1),  # two CPUs, one row fits: one pass at a time
 ])
 def test_ig_runs_no_more_rows_at_once_than_fit_the_budget(
-        model, monkeypatch, cpus, budget_rows, in_flight):
+        model, monkeypatch, cpus, budget_rows, in_flight, pin_threads):
     rec = make_record(27)
-    _pin_cpus(monkeypatch, cpus)
+    pin_threads(cpus)
     _budget_for_rows(monkeypatch, model, "replay", budget_rows)
     real_pass = attribution._ig_pass
     lock = threading.Lock()
@@ -473,12 +487,46 @@ def test_ig_runs_no_more_rows_at_once_than_fit_the_budget(
     assert rows["most"] == in_flight <= budget_rows
 
 
+def test_kernels_on_integrated_gradients_runners_start_no_thread(
+        model, monkeypatch, pin_threads):
+    # IG with W = 2 runs its passes on the calling thread and one pool
+    # thread; a map-sized kernel called on either of them stays there
+    rec = make_record(28)
+    pin_threads(2)
+    _budget_for_rows(monkeypatch, model, "replay", 2)  # one-row passes, two at once
+    q = np.random.default_rng(28).normal(size=(2, 2, 512, 8))  # an 8.4 MB map
+    runs, seen = [], []
+    real_in_order, real_pass = ad._in_order, attribution._ig_pass
+
+    def in_order(fn, items, workers):
+        runs.append(workers)
+        return real_in_order(fn, items, workers)
+
+    def ig_pass(*args):
+        t = Tape(record=False)
+        ad.attention_map(t.leaf(q), t.leaf(q))
+        seen.append((threading.current_thread(), ad._threads(), threading.active_count()))
+        return real_pass(*args)
+
+    monkeypatch.setattr(ad, "_in_order", in_order)
+    monkeypatch.setattr(attribution, "_ig_pass", ig_pass)
+    before = threading.active_count()
+    integrated_gradients(model, rec, steps=6)
+    assert runs == [2]  # IG's own runner, and no kernel's
+    assert len({thread for thread, _, _ in seen}) == 2
+    assert all(w == 1 and threads <= before + 1 for _, w, threads in seen)
+    # off the runners the same kernel splits
+    t = Tape(record=False)
+    ad.attention_map(t.leaf(q), t.leaf(q))
+    assert runs == [2, 2]
+
+
 @pytest.mark.parametrize("blas_threads,expected", [(1, 3), (2, 1), (None, 1)])
 def test_ig_threads_only_when_blas_runs_one_thread(monkeypatch, blas_threads, expected):
-    monkeypatch.setattr(attribution, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(attribution, "_openblas_num_threads",
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(ad, "_openblas_num_threads",
                         lambda: None if blas_threads is None else (lambda: blas_threads))
-    assert attribution._ig_threads() == expected
+    assert ad._cpu_threads() == expected
 
 
 @pytest.mark.parametrize("cpu_max,expected", [
@@ -495,10 +543,10 @@ def test_usable_cpus_follow_the_affinity_mask_and_a_cgroup_quota(
             path = quota  # missing when cpu_max is None: no cgroup v2 quota
         return real_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(attribution.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
-    monkeypatch.setattr(attribution, "open", fake_open, raising=False)
-    assert attribution._usable_cpus() == expected
+    monkeypatch.setattr(ad, "open", fake_open, raising=False)
+    assert ad._usable_cpus() == expected
 
 
 # --- attention readouts --------------------------------------------------------------

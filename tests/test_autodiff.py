@@ -1,5 +1,6 @@
 """Tape, primitives, backward, and the finite-difference oracle."""
 
+import threading
 import zlib
 from types import SimpleNamespace
 
@@ -410,6 +411,171 @@ def test_tape_is_append_only_topological():
     assert a.node_id < b.node_id < c.node_id
     for nid, node in enumerate(t.nodes):
         assert all(pid < nid for pid in node.inputs)
+
+
+# --- map-sized kernels on threads --------------------------------------------
+#
+# Geometries above the split size: a map of 2 * 4 MiB or more splits over
+# two threads. Each run compares W = 2 with W = 1 and with the unfused
+# chain of the serial primitives, for values and for strides.
+
+SPLIT_GEOMETRIES = {
+    "batch-split": (2, 2, 512),   # (batch, heads, L): cut along the batch
+    "head-split": (1, 4, 513),    # one record: cut along the heads
+    "uneven-batch": (3, 2, 420),  # 3 records, 2 heads: the heads divide evenly
+}
+
+
+@pytest.fixture
+def spy_runs(monkeypatch):
+    """The ``workers`` of every ``_in_order`` call, in call order."""
+    runs = []
+    real = ad._in_order
+
+    def in_order(fn, items, workers):
+        runs.append(workers)
+        return real(fn, items, workers)
+
+    monkeypatch.setattr(ad, "_in_order", in_order)
+    return runs
+
+
+def _attention_step(batch, heads, length, fused, hw=8, rate=0.25):
+    """One attention forward and full backward, as ``MultiHeadAttention``
+    records it: biased q, k, v projections cut into strided head views, a
+    padding mask, the map, its dropout and the product with v."""
+    rng = np.random.default_rng(batch * 1000 + length)
+    width = heads * hw
+    xs = [rng.normal(size=(batch, length, width)) for _ in range(3)]
+    bs = [rng.normal(size=width) for _ in range(3)]
+    valid = np.arange(length) < length - 37 * np.arange(1, batch + 1)[:, None]
+    mask = np.where(valid, 0.0, -1e9)[:, None, None, :]
+    keep = rng.random((batch, heads, length, length)) < 1.0 - rate
+    weights = rng.normal(size=(batch, heads, length, hw))
+    t = Tape()
+    leaves = [t.leaf(x) for x in xs]
+    biases = [t.leaf(b) for b in bs]
+    q, k, v = (_split_heads(ad.add(x, b), batch, length, heads)
+               for x, b in zip(leaves, biases))
+    factor = 1.0 / np.sqrt(hw)
+    if fused:
+        p = ad.attention_map(q, k, factor=factor, mask=mask)
+        mixed = ad.dropout_matmul(p, v, keep, 1.0 / (1.0 - rate))
+    else:
+        p = ad.softmax_over_axis(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
+                                 axis=-1, factor=factor, mask=mask)
+        drop = t.leaf(keep.astype(np.float64) / (1.0 - rate))
+        mixed = ad.matmul(ad.mul(p, drop), v)
+    backward(ad.sum_over_axis(ad.mul(mixed, t.leaf(weights))))
+    named = {"p": p.data, "mixed": mixed.data, "q.grad": q.grad, "k.grad": k.grad,
+             "v.grad": v.grad}
+    for name, leaf in zip("qkv", leaves):
+        named[f"x{name}.grad"] = leaf.grad
+    for name, leaf in zip("qkv", biases):
+        named[f"b{name}.grad"] = leaf.grad
+    return named
+
+
+def _assert_same_arrays(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        a, b = got[name], want[name]
+        assert (a.shape, a.strides) == (b.shape, b.strides), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("geometry", list(SPLIT_GEOMETRIES))
+def test_split_kernels_give_the_serial_bits_and_layouts(geometry, pin_threads,
+                                                        spy_runs):
+    batch, heads, length = SPLIT_GEOMETRIES[geometry]
+    assert batch * heads * length * length * 8 >= 2 * ad._SPLIT_BYTES
+    pin_threads(1)
+    serial = _attention_step(batch, heads, length, fused=True)
+    unfused = _attention_step(batch, heads, length, fused=False)
+    assert spy_runs == []
+    pin_threads(2)
+    split = _attention_step(batch, heads, length, fused=True)
+    # the map, the dropout product and both of their VJPs each ran on two
+    # threads
+    assert spy_runs == [2] * 4
+    _assert_same_arrays(split, serial)
+    _assert_same_arrays(split, unfused)
+    # the k-gradient is the transposed view of a contiguous (hw, L) product
+    assert not split["k.grad"].flags.c_contiguous
+
+
+def test_maps_below_the_split_size_stay_on_the_calling_thread(pin_threads, spy_runs):
+    pin_threads(8)
+    # 4 MiB is the least a piece takes: a map under 8 MiB does not split
+    batch, heads, length = 1, 4, 480  # 7.4 MB
+    _attention_step(batch, heads, length, fused=True)
+    assert spy_runs == []
+    # at 8 threads an 8.4 MB map still splits in two 4.2 MB pieces
+    _attention_step(1, 4, 513, fused=True)
+    assert spy_runs == [2] * 4
+
+
+def test_a_split_map_raises_the_kind_the_serial_map_fails_first(pin_threads):
+    # record 0 (the calling thread's piece) overflows at the padding mask,
+    # record 1 (the pool thread's piece) already at the product; the whole
+    # map fails its product check first
+    length, hw = 512, 8
+    q = np.zeros((2, 2, length, hw))
+    k = np.zeros((2, 2, length, hw))
+    q[0, :, :, 0] = k[0, :, :, 0] = 1e154
+    q[1, :, :, 0] = k[1, :, :, 0] = 1e200
+    mask = np.zeros((2, 1, 1, length))
+    mask[0] = 1.7e308
+    kinds = {}
+    before = threading.active_count()
+    for threads in (1, 2):
+        pin_threads(threads)
+        t = Tape()
+        with pytest.raises(NonFiniteError) as caught:
+            ad.attention_map(t.leaf(q), t.leaf(k), mask=mask)
+        kinds[threads] = caught.value.kind
+        assert "'matmul'" in str(caught.value)
+        assert threading.active_count() == before
+    assert kinds == {1: "matmul", 2: "matmul"}
+    # with record 1 finite, both read the mask's check
+    q[1], k[1] = 0.0, 0.0
+    for threads in (1, 2):
+        pin_threads(threads)
+        t = Tape()
+        with pytest.raises(NonFiniteError, match="'add'"):
+            ad.attention_map(t.leaf(q), t.leaf(k), mask=mask)
+
+
+@pytest.mark.parametrize("kernel", ["forward", "vjp"])
+def test_an_error_on_the_pool_thread_surfaces_unchanged_and_the_pool_is_joined(
+        kernel, pin_threads, monkeypatch):
+    pin_threads(2)
+    rng = np.random.default_rng(31)
+    x0 = rng.normal(size=(2, 2, 512, 512))
+    w0 = rng.normal(size=(2, 2, 512, 8))
+    keep = rng.random(x0.shape) < 0.8
+    error = NonFiniteError("planted")
+    real_dropped = ad._dropped
+    caller = threading.current_thread()
+
+    def dropped(x, keep, factor):
+        if threading.current_thread() is not caller:
+            raise error
+        return real_dropped(x, keep, factor)
+
+    t = Tape()
+    x, w = t.leaf(x0), t.leaf(w0)
+    if kernel == "vjp":
+        y = ad.dropout_matmul(x, w, keep, 1.25)
+    monkeypatch.setattr(ad, "_dropped", dropped)
+    before = threading.active_count()
+    with pytest.raises(NonFiniteError) as caught:
+        if kernel == "forward":
+            ad.dropout_matmul(x, w, keep, 1.25)
+        else:
+            backward(ad.sum_over_axis(y))
+    assert caught.value is error
+    assert threading.active_count() == before
 
 
 # --- pruned backward (wrt) ---------------------------------------------------

@@ -14,6 +14,8 @@ The load-bearing properties here:
   positions are bit-for-bit invariant to pad content.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -404,6 +406,56 @@ def test_dropout_active_only_in_standard_mode_with_rng():
     np.testing.assert_array_equal(dropped, run("standard", 0))
     # attribution mode ignores the rng entirely
     np.testing.assert_array_equal(clean, run("attribution", 0))
+
+
+class _RecordingRng:
+    """A generator that notes the thread and shape of every draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def random(self, shape):
+        self.draws.append((threading.current_thread(), shape))
+        return self.rng.random(shape)
+
+
+@pytest.mark.parametrize("batch,heads,length", [(1, 4, 513), (3, 2, 420)])
+def test_split_attention_draws_its_dropout_mask_whole_on_the_calling_thread(
+        batch, heads, length, pin_threads, monkeypatch):
+    # maps above the split size, cut by heads: the keep mask is still one
+    # draw of the map's shape, on the calling thread, so the stream and
+    # every bit are those of one thread
+    rate = 0.2
+    store = ParamStore()
+    mha = MultiHeadAttention(store, "attn", np.random.default_rng(5), width=4 * heads,
+                             heads=heads)
+    x = np.random.default_rng(6).normal(size=(batch, length, 4 * heads))
+    valid = np.arange(length) < length - 50 * np.arange(batch)[:, None]
+    keeps = []
+    real = ad.dropout_matmul
+
+    def dropout_matmul(x, w, keep, factor):
+        keeps.append(keep)
+        return real(x, w, keep, factor)
+
+    monkeypatch.setattr(ad, "dropout_matmul", dropout_matmul)
+    runs = {}
+    for threads in (1, 2):
+        pin_threads(threads)
+        rng = _RecordingRng(7)
+        ctx = Context(tape=Tape(), params=store, rng=rng)
+        leaf = ctx.tape.leaf(x)
+        out = mha.forward(ctx, leaf, additive_attention_mask(valid), dropout=rate)
+        ad.backward(ad.sum_over_axis(ad.mul(out, out)))
+        shape = (batch, heads, length, length)
+        assert rng.draws == [(threading.current_thread(), shape)]
+        whole = np.random.default_rng(7).random(shape) < 1.0 - rate
+        assert np.array_equal(keeps.pop(), whole)
+        runs[threads] = [out.data, leaf.grad] + [g for _, g in sorted(
+            ctx.param_grads().items())]
+    for a, b in zip(runs[1], runs[2]):
+        assert a.strides == b.strides and a.tobytes() == b.tobytes()
 
 
 def test_frozen_state_cursor_round_trip():

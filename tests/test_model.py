@@ -167,6 +167,12 @@ def test_predict_proba_is_independent_of_batch_size(small_model):
         rtol=1e-12)
 
 
+def test_predict_proba_of_zero_rows_is_an_empty_two_column_array(small_model):
+    events, notes, vitals = small_batch(3)
+    probs = small_model.predict_proba(events[:0], notes[:0], vitals[:0])
+    assert probs.shape == (0, 2) and probs.dtype == np.float64
+
+
 def _recorded_probabilities(model, events, notes, vitals, active):
     tape = Tape()
     logits = model.forward(Context(tape=tape, params=model.params),

@@ -329,7 +329,7 @@ def test_each_training_step_frees_its_tape_before_the_next_forward(monkeypatch):
     assert len(seen) == 2 * 4  # ceil(14 / 4) steps per epoch
 
 
-def _ig_pass_tapes(monkeypatch, cpus: int, budget_rows: int) -> list:
+def _ig_pass_tapes(monkeypatch, pin_threads, cpus: int, budget_rows: int) -> list:
     """The recording tapes integrated gradients makes for two records at
     7 steps, on at most ``cpus`` threads, with a byte budget of
     ``budget_rows`` replay rows; each pass must free its tape before its
@@ -340,20 +340,20 @@ def _ig_pass_tapes(monkeypatch, cpus: int, budget_rows: int) -> list:
     fixed, per_row = model.pass_bytes("replay", rec.events.values[None],
                                       rec.notes.ids[None], rec.vitals.values[None])
     monkeypatch.setattr("icuxai.model.PASS_BYTES", fixed + budget_rows * per_row)
-    monkeypatch.setattr("icuxai.attribution._ig_threads", lambda: cpus)
+    pin_threads(cpus)
     seen = _watch_recording_tapes(monkeypatch, others=cpus - 1)
     integrated_gradients(model, [ds.record(0), ds.record(1)], steps=7)
     return seen
 
 
-def test_each_ig_pass_frees_its_tape_before_the_next_forward(monkeypatch):
-    seen = _ig_pass_tapes(monkeypatch, cpus=1, budget_rows=3)
+def test_each_ig_pass_frees_its_tape_before_the_next_forward(monkeypatch, pin_threads):
+    seen = _ig_pass_tapes(monkeypatch, pin_threads, cpus=1, budget_rows=3)
     assert len(seen) == 2 * 3  # per record, alphas in passes of 3, 3 and 1
 
 
-def test_ig_passes_on_two_threads_hold_at_most_two_tapes(monkeypatch):
+def test_ig_passes_on_two_threads_hold_at_most_two_tapes(monkeypatch, pin_threads):
     # two passes in flight split a budget of 6 rows: passes of 3, 3 and 1
-    seen = _ig_pass_tapes(monkeypatch, cpus=2, budget_rows=6)
+    seen = _ig_pass_tapes(monkeypatch, pin_threads, cpus=2, budget_rows=6)
     assert len(seen) == 2 * 3
 
 
